@@ -38,7 +38,7 @@ pub mod views;
 pub use aggregate::{FleetAggregator, SealedSlot, SharedHistories};
 pub use log::{
     CommitLog, IndexEntry, LogDefect, LogOptions, LogRecord, LogRecovery, QuarantinedLogFile,
-    SegmentIndex, INDEX_MAGIC, LOG_VERSION, SEGMENT_MAGIC,
+    SegmentIndex, INDEX_MAGIC, INDEX_VERSION, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use replay::{replay, ModelDigest, ReplayConfig, ReplayReport};
 pub use scheduler::{RetrainDecision, RetrainReason, RetrainScheduler, SchedulerConfig};

@@ -2,13 +2,27 @@
 //!
 //! Vehicles append 10-minute CAN reports as CRC-framed, length-prefixed
 //! records into segment files (`seg-<first-offset>.vlog`), each frame
-//! carrying one JSON [`LogRecord`] under the shared
-//! [`vup_serve::frame`] header with the `VUPL` magic. A segment is
-//! *sealed* once it reaches [`LogOptions::max_segment_bytes`]; sealing
-//! writes a sparse offset index (`seg-<first-offset>.vidx`, `VUPI`
-//! magic, atomic temp-file + rename) so later reads can seek into the
-//! middle of the log without scanning from byte zero. The index is a
-//! rebuildable cache: losing or corrupting it never loses data.
+//! carrying one [`LogRecord`] under the shared [`vup_serve::frame`]
+//! header with the `VUPL` magic. Frames are written at version 2, a
+//! fixed little-endian binary record:
+//!
+//! ```text
+//! offset u64 | vehicle_id u32 | day i64 | minute u16 | flags u16 | k × f64 bits
+//! ```
+//!
+//! `flags` bit 0 is `engine_on`, bits 1–10 mark which of
+//! [`RawReport`]'s ten channels are present (in field order), bits
+//! 11–15 are reserved and must be zero; only the `k` present channels
+//! follow, as `f64::to_bits`, so a record is `24 + 8k` bytes. Version-1
+//! frames (one JSON [`LogRecord`] each, what earlier builds wrote) still
+//! decode, so an old log opens clean and keeps growing in place.
+//!
+//! A segment is *sealed* once it reaches
+//! [`LogOptions::max_segment_bytes`]; sealing writes a sparse offset
+//! index (`seg-<first-offset>.vidx`, `VUPI` magic, still JSON, atomic
+//! temp-file + rename) so later reads can seek into the middle of the
+//! log without scanning from byte zero. The index is a rebuildable
+//! cache: losing or corrupting it never loses data.
 //!
 //! All I/O goes through the [`StorageBackend`] seam from `vup-serve`,
 //! so the seeded [`vup_serve::FaultyBackend`] disk chaos (torn appends,
@@ -31,15 +45,23 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use vup_fleetsim::canbus::RawReport;
 use vup_obs::{Counter, Registry, Tracer};
-use vup_serve::frame::{decode_frame_at, decode_frame_exact, encode_frame, retry_io, FrameDefect};
+use vup_serve::frame::{
+    decode_frame_exact, decode_versioned_frame_at, encode_frame, encode_frame_into, retry_io,
+    FrameDefect, HEADER_LEN,
+};
 use vup_serve::StorageBackend;
 
 /// First four bytes of every log-segment frame.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"VUPL";
 /// First four bytes of every offset-index file.
 pub const INDEX_MAGIC: [u8; 4] = *b"VUPI";
-/// Log format version this build reads and writes.
-pub const LOG_VERSION: u16 = 1;
+/// Segment-frame version this build writes: the binary record.
+pub const SEGMENT_VERSION: u16 = 2;
+/// Segment-frame version of the JSON record earlier builds wrote;
+/// still read, never written.
+pub const SEGMENT_VERSION_JSON: u16 = 1;
+/// Index-file version this build reads and writes (JSON payload).
+pub const INDEX_VERSION: u16 = 1;
 /// Extension of segment files.
 pub const SEGMENT_EXT: &str = "vlog";
 /// Extension of offset-index files.
@@ -60,6 +82,124 @@ pub struct LogRecord {
     /// The raw report, exactly as the vehicle sent it.
     pub report: RawReport,
 }
+
+/// Bytes of a binary record before its channel values: offset (8),
+/// vehicle id (4), day (8), minute (2) and flags (2).
+const RECORD_HEAD_LEN: usize = 24;
+/// Optional channels of a [`RawReport`], each one presence bit.
+const CHANNELS: usize = 10;
+/// `flags` bit set when the engine was on.
+const FLAG_ENGINE_ON: u16 = 1;
+/// `flags` bits 1–10: channel `i` present sets bit `i + 1`.
+const FLAG_CHANNELS: u16 = ((1 << CHANNELS) - 1) << 1;
+/// `flags` bits 11–15, which must be zero.
+const FLAG_RESERVED: u16 = !(FLAG_ENGINE_ON | FLAG_CHANNELS);
+
+/// A report's optional channels, in field order.
+fn channels(report: &RawReport) -> [Option<f64>; CHANNELS] {
+    [
+        report.fuel_level_pct,
+        report.engine_rpm,
+        report.oil_pressure_kpa,
+        report.coolant_temp_c,
+        report.fuel_rate_lph,
+        report.speed_kmh,
+        report.load_pct,
+        report.digging_pressure_kpa,
+        report.pump_drive_temp_c,
+        report.oil_tank_temp_c,
+    ]
+}
+
+/// Appends the binary (version-2) record of one report to `out`.
+fn encode_record(out: &mut Vec<u8>, offset: u64, vehicle_id: u32, report: &RawReport) {
+    let channels = channels(report);
+    let mut flags = if report.engine_on { FLAG_ENGINE_ON } else { 0 };
+    for (i, channel) in channels.iter().enumerate() {
+        if channel.is_some() {
+            flags |= 1 << (i + 1);
+        }
+    }
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(&vehicle_id.to_le_bytes());
+    out.extend_from_slice(&report.day.to_le_bytes());
+    out.extend_from_slice(&report.minute.to_le_bytes());
+    out.extend_from_slice(&flags.to_le_bytes());
+    for value in channels.into_iter().flatten() {
+        out.extend_from_slice(&value.to_bits().to_le_bytes());
+    }
+}
+
+/// Takes the next `N` bytes off the front of `bytes`.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
+}
+
+/// Decodes a binary (version-2) record. `None` when a reserved flag
+/// bit is set or the length is not `24 + 8 ×` the channels flagged
+/// present.
+fn decode_record(mut payload: &[u8]) -> Option<LogRecord> {
+    let offset = u64::from_le_bytes(take(&mut payload)?);
+    let vehicle_id = u32::from_le_bytes(take(&mut payload)?);
+    let day = i64::from_le_bytes(take(&mut payload)?);
+    let minute = u16::from_le_bytes(take(&mut payload)?);
+    let flags = u16::from_le_bytes(take(&mut payload)?);
+    let present = (flags & FLAG_CHANNELS).count_ones() as usize;
+    if flags & FLAG_RESERVED != 0 || payload.len() != 8 * present {
+        return None;
+    }
+    let mut values = [None; CHANNELS];
+    for (i, value) in values.iter_mut().enumerate() {
+        if flags & (1 << (i + 1)) != 0 {
+            *value = Some(f64::from_bits(u64::from_le_bytes(take(&mut payload)?)));
+        }
+    }
+    // `values` is in `channels` order.
+    Some(LogRecord {
+        offset,
+        vehicle_id,
+        report: RawReport {
+            day,
+            minute,
+            engine_on: flags & FLAG_ENGINE_ON != 0,
+            fuel_level_pct: values[0],
+            engine_rpm: values[1],
+            oil_pressure_kpa: values[2],
+            coolant_temp_c: values[3],
+            fuel_rate_lph: values[4],
+            speed_kmh: values[5],
+            load_pct: values[6],
+            digging_pressure_kpa: values[7],
+            pump_drive_temp_c: values[8],
+            oil_tank_temp_c: values[9],
+        },
+    })
+}
+
+/// Decodes a segment frame's payload by its frame version: the binary
+/// record, or the JSON record of version-1 logs.
+fn decode_payload(version: u16, payload: &[u8]) -> Option<LogRecord> {
+    if version == SEGMENT_VERSION {
+        decode_record(payload)
+    } else {
+        serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()
+    }
+}
+
+/// Segment-frame versions this build reads.
+const SEGMENT_VERSIONS: [u16; 2] = [SEGMENT_VERSION_JSON, SEGMENT_VERSION];
+
+/// Smallest possible segment frame: a header and a record with no
+/// channel present. Sizes the index-entry reservation of a segment.
+const MIN_FRAME_LEN: u64 = (HEADER_LEN + RECORD_HEAD_LEN) as u64;
+/// Largest possible segment frame: every channel present. The append
+/// buffer is this big from the start, so it never grows.
+const MAX_FRAME_LEN: usize = HEADER_LEN + RECORD_HEAD_LEN + 8 * CHANNELS;
+/// Cap on the index entries reserved per segment up front (a huge
+/// `max_segment_bytes` grows its entries on demand past this).
+const MAX_RESERVED_ENTRIES: u64 = 1024;
 
 /// Commit-log tunables.
 #[derive(Debug, Clone)]
@@ -268,6 +408,10 @@ pub struct CommitLog {
     metrics: IngestMetrics,
     /// Surviving segments in offset order; the last one is active.
     segments: Vec<SegmentState>,
+    /// Path of the active (last) segment, so appends build none.
+    active_path: PathBuf,
+    /// Scratch buffer each append frames its record into.
+    frame: Vec<u8>,
     /// Offset the next append receives.
     next_offset: u64,
 }
@@ -315,6 +459,8 @@ impl CommitLog {
             options,
             metrics: IngestMetrics::register(registry),
             segments: Vec::new(),
+            active_path: PathBuf::new(),
+            frame: Vec::with_capacity(MAX_FRAME_LEN),
             next_offset: 0,
         };
         let mut stats = LogRecovery::default();
@@ -407,7 +553,7 @@ impl CommitLog {
                 let (read, r) = retry_io(|| log.backend.read(&log.dir.join(name)));
                 stats.io_retries += r;
                 let bytes = read.ok()?;
-                let payload = decode_frame_exact(INDEX_MAGIC, LOG_VERSION, &bytes).ok()?;
+                let payload = decode_frame_exact(INDEX_MAGIC, INDEX_VERSION, &bytes).ok()?;
                 let parsed: SegmentIndex =
                     serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
                 Some((bytes.len() as u64, parsed))
@@ -448,6 +594,9 @@ impl CommitLog {
             log.quarantine_file(&log.dir.join(&name), &name, LogDefect::Orphaned, &mut stats);
         }
 
+        if !log.segments.is_empty() {
+            log.activate_last();
+        }
         stats.next_offset = log.next_offset;
         log.metrics.frames_recovered.add(stats.frames_recovered);
         log.metrics.io_retries.add(stats.io_retries);
@@ -478,28 +627,23 @@ impl CommitLog {
             if at == bytes.len() {
                 break None;
             }
-            match decode_frame_at(SEGMENT_MAGIC, LOG_VERSION, bytes, at) {
+            match decode_versioned_frame_at(SEGMENT_MAGIC, &SEGMENT_VERSIONS, bytes, at) {
                 Err(defect) => break Some(LogDefect::from_frame(defect)),
-                Ok((payload, frame_len)) => {
-                    let record: Option<LogRecord> = std::str::from_utf8(payload)
-                        .ok()
-                        .and_then(|text| serde_json::from_str(text).ok());
-                    match record {
-                        Some(record) if record.offset == next => {
-                            if state.frames.is_multiple_of(index_every) {
-                                state.entries.push(IndexEntry {
-                                    offset: next,
-                                    pos: at as u64,
-                                });
-                            }
-                            state.frames += 1;
-                            next += 1;
-                            at += frame_len;
-                            state.bytes = at as u64;
+                Ok((version, payload, frame_len)) => match decode_payload(version, payload) {
+                    Some(record) if record.offset == next => {
+                        if state.frames.is_multiple_of(index_every) {
+                            state.entries.push(IndexEntry {
+                                offset: next,
+                                pos: at as u64,
+                            });
                         }
-                        _ => break Some(LogDefect::Decode),
+                        state.frames += 1;
+                        next += 1;
+                        at += frame_len;
+                        state.bytes = at as u64;
                     }
-                }
+                    _ => break Some(LogDefect::Decode),
+                },
             }
         };
         (state, at as u64, defect)
@@ -586,7 +730,7 @@ impl CommitLog {
     /// so a failed write never fails the caller.
     fn write_index(&self, index: &SegmentIndex, io_retries: &mut u64) {
         let payload = serde_json::to_string(index).expect("segment index serializes");
-        let bytes = encode_frame(INDEX_MAGIC, LOG_VERSION, payload.as_bytes());
+        let bytes = encode_frame(INDEX_MAGIC, INDEX_VERSION, payload.as_bytes());
         let name = Self::index_name(index.first_offset);
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
@@ -610,16 +754,14 @@ impl CommitLog {
     /// O(1) in log size: one framed positional append to the active
     /// segment, plus a seal + roll when the segment is full. A torn
     /// append (injected or a real crash) leaves a damaged tail that
-    /// the next [`CommitLog::open`] truncates away.
+    /// the next [`CommitLog::open`] truncates away. The record is
+    /// framed into a buffer the log keeps, so an append that does not
+    /// roll allocates nothing once the log is warm.
     pub fn append(&mut self, vehicle_id: u32, report: &RawReport) -> io::Result<u64> {
         let offset = self.next_offset;
-        let payload = serde_json::to_string(&LogRecord {
-            offset,
-            vehicle_id,
-            report: report.clone(),
-        })
-        .expect("log record serializes");
-        let bytes = encode_frame(SEGMENT_MAGIC, LOG_VERSION, payload.as_bytes());
+        encode_frame_into(&mut self.frame, SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
+            encode_record(out, offset, vehicle_id, report)
+        });
 
         let roll = match self.segments.last() {
             None => true,
@@ -628,11 +770,11 @@ impl CommitLog {
         if roll {
             self.seal_active(offset);
         }
-        let active = self.segments.last_mut().expect("active segment exists");
-        let path = self.dir.join(Self::segment_name(active.first_offset));
-        let (res, retries) = retry_io(|| self.backend.append(&path, &bytes));
+        let (res, retries) = retry_io(|| self.backend.append(&self.active_path, &self.frame));
         self.metrics.io_retries.add(retries);
         res?;
+        let frame_len = self.frame.len() as u64;
+        let active = self.segments.last_mut().expect("active segment exists");
         if active.frames.is_multiple_of(self.options.index_every) {
             active.entries.push(IndexEntry {
                 offset,
@@ -640,10 +782,10 @@ impl CommitLog {
             });
         }
         active.frames += 1;
-        active.bytes += bytes.len() as u64;
+        active.bytes += frame_len;
         self.next_offset = offset + 1;
         self.metrics.appends.inc();
-        self.metrics.appended_bytes.add(bytes.len() as u64);
+        self.metrics.appended_bytes.add(frame_len);
         Ok(offset)
     }
 
@@ -667,6 +809,21 @@ impl CommitLog {
             frames: 0,
             entries: Vec::new(),
         });
+        self.activate_last();
+    }
+
+    /// Makes the last segment the append target: caches its path and
+    /// reserves index entries for a full segment of the smallest
+    /// frames, so appends until the next roll never grow them.
+    fn activate_last(&mut self) {
+        let per_segment = (self.options.max_segment_bytes / MIN_FRAME_LEN + 1)
+            .div_ceil(self.options.index_every.max(1))
+            .min(MAX_RESERVED_ENTRIES) as usize;
+        let active = self.segments.last_mut().expect("a segment to activate");
+        active
+            .entries
+            .reserve(per_segment.saturating_sub(active.entries.len()));
+        self.active_path = self.dir.join(Self::segment_name(active.first_offset));
     }
 
     /// Reads every record from `offset` (inclusive) to the log's end,
@@ -692,23 +849,21 @@ impl CommitLog {
                 0
             };
             while at < bytes.len() {
-                let (payload, frame_len) = decode_frame_at(SEGMENT_MAGIC, LOG_VERSION, &bytes, at)
-                    .map_err(|defect| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "damaged frame in {} at byte {at}: {}",
-                                Self::segment_name(segment.first_offset),
-                                LogDefect::from_frame(defect).as_str()
-                            ),
-                        )
-                    })?;
-                let record: LogRecord = std::str::from_utf8(payload)
-                    .ok()
-                    .and_then(|text| serde_json::from_str(text).ok())
-                    .ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "undecodable log record")
-                    })?;
+                let (version, payload, frame_len) =
+                    decode_versioned_frame_at(SEGMENT_MAGIC, &SEGMENT_VERSIONS, &bytes, at)
+                        .map_err(|defect| {
+                            io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "damaged frame in {} at byte {at}: {}",
+                                    Self::segment_name(segment.first_offset),
+                                    LogDefect::from_frame(defect).as_str()
+                                ),
+                            )
+                        })?;
+                let record = decode_payload(version, payload).ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "undecodable log record")
+                })?;
                 if record.offset >= offset {
                     records.push(record);
                 }
@@ -726,7 +881,7 @@ impl CommitLog {
         let Ok(bytes) = self.backend.read(&path) else {
             return 0;
         };
-        let Ok(payload) = decode_frame_exact(INDEX_MAGIC, LOG_VERSION, &bytes) else {
+        let Ok(payload) = decode_frame_exact(INDEX_MAGIC, INDEX_VERSION, &bytes) else {
             return 0;
         };
         let Some(index) = std::str::from_utf8(payload)
@@ -900,8 +1055,9 @@ mod tests {
     #[test]
     fn bit_flip_mid_segment_cuts_to_longest_valid_prefix_and_orphans_later_segments() {
         let dir = temp_dir("flip");
+        // Two ~112-byte frames per segment, so 12 appends span 6.
         let options = LogOptions {
-            max_segment_bytes: 600,
+            max_segment_bytes: 150,
             index_every: 4,
         };
         {
@@ -1016,5 +1172,141 @@ mod tests {
         let (_, stats) = open(&dir, LogOptions::default());
         assert_eq!(stats.frames_recovered, 6);
         assert!(stats.quarantined.is_empty());
+    }
+
+    #[test]
+    fn binary_record_layout_is_pinned() {
+        let mut r = report(-3, 1430);
+        r.engine_on = false;
+        let mut payload = Vec::new();
+        encode_record(&mut payload, 0x0102_0304_0506_0708, 9, &r);
+        // Nine present channels (all but digging pressure, channel 7).
+        assert_eq!(payload.len(), RECORD_HEAD_LEN + 8 * 9);
+        assert_eq!(payload[0..8], 0x0102_0304_0506_0708_u64.to_le_bytes());
+        assert_eq!(payload[8..12], 9_u32.to_le_bytes());
+        assert_eq!(payload[12..20], (-3_i64).to_le_bytes());
+        assert_eq!(payload[20..22], 1430_u16.to_le_bytes());
+        assert_eq!(
+            payload[22..24],
+            (0b111_1111_1110_u16 & !(1 << 8)).to_le_bytes()
+        );
+        assert_eq!(payload[24..32], 55.0_f64.to_bits().to_le_bytes());
+        assert_eq!(payload[88..96], 52.0_f64.to_bits().to_le_bytes());
+        let decoded = decode_record(&payload).unwrap();
+        assert_eq!(
+            (decoded.offset, decoded.vehicle_id),
+            (0x0102_0304_0506_0708, 9)
+        );
+        assert_eq!(decoded.report, r);
+
+        // No channel present: just the head, and engine_on is bit 0.
+        let empty = RawReport {
+            fuel_level_pct: None,
+            engine_rpm: None,
+            oil_pressure_kpa: None,
+            coolant_temp_c: None,
+            fuel_rate_lph: None,
+            speed_kmh: None,
+            load_pct: None,
+            pump_drive_temp_c: None,
+            oil_tank_temp_c: None,
+            ..report(0, 0)
+        };
+        payload.clear();
+        encode_record(&mut payload, 1, 2, &empty);
+        assert_eq!(payload.len(), RECORD_HEAD_LEN);
+        assert_eq!(payload[22..24], FLAG_ENGINE_ON.to_le_bytes());
+        assert_eq!(decode_record(&payload).unwrap().report, empty);
+    }
+
+    /// A version-1 frame as earlier builds wrote it: one JSON record.
+    fn v1_frame(offset: u64, vehicle_id: u32, report: &RawReport) -> Vec<u8> {
+        let record = LogRecord {
+            offset,
+            vehicle_id,
+            report: report.clone(),
+        };
+        let payload = serde_json::to_string(&record).unwrap();
+        encode_frame(SEGMENT_MAGIC, SEGMENT_VERSION_JSON, payload.as_bytes())
+    }
+
+    #[test]
+    fn v1_log_reopens_clean_and_appends_resume_in_its_segment_as_v2() {
+        let dir = temp_dir("v1");
+        let options = LogOptions {
+            max_segment_bytes: 64 * 1024,
+            index_every: 2,
+        };
+        // What earlier builds left on disk: a sealed segment of four
+        // JSON frames with its JSON index, and an active segment of
+        // three JSON frames.
+        let mut written = Vec::new();
+        let mut sealed = Vec::new();
+        let mut entries = Vec::new();
+        for i in 0..4u64 {
+            if i % 2 == 0 {
+                entries.push(IndexEntry {
+                    offset: i,
+                    pos: sealed.len() as u64,
+                });
+            }
+            let r = report(17000, i as u16 * 10);
+            sealed.extend_from_slice(&v1_frame(i, 1, &r));
+            written.push((1u32, r));
+        }
+        std::fs::write(dir.join(CommitLog::segment_name(0)), &sealed).unwrap();
+        let index = SegmentIndex {
+            first_offset: 0,
+            frames: 4,
+            entries,
+        };
+        let index_json = serde_json::to_string(&index).unwrap();
+        std::fs::write(
+            dir.join(CommitLog::index_name(0)),
+            encode_frame(INDEX_MAGIC, INDEX_VERSION, index_json.as_bytes()),
+        )
+        .unwrap();
+        let mut active = Vec::new();
+        for i in 4..7u64 {
+            let r = report(17001, i as u16 * 10);
+            active.extend_from_slice(&v1_frame(i, 3, &r));
+            written.push((3u32, r));
+        }
+        let active_path = dir.join(CommitLog::segment_name(4));
+        std::fs::write(&active_path, &active).unwrap();
+
+        let check = |log: &CommitLog, stats: &LogRecovery, written: &[(u32, RawReport)]| {
+            invariant(stats);
+            assert!(stats.quarantined.is_empty(), "{stats:?}");
+            assert_eq!(stats.indexes_rebuilt, 0);
+            assert_eq!(stats.frames_recovered, written.len() as u64);
+            let records = log.records().unwrap();
+            assert_eq!(records.len(), written.len());
+            for (i, (rec, (vehicle, r))) in records.iter().zip(written).enumerate() {
+                assert_eq!(rec.offset, i as u64);
+                assert_eq!((rec.vehicle_id, &rec.report), (*vehicle, r));
+            }
+            // Seeking through the JSON index of the sealed segment.
+            assert_eq!(log.read_from(3).unwrap()[0].offset, 3);
+        };
+        let (mut log, stats) = open(&dir, options.clone());
+        check(&log, &stats, &written);
+
+        // Appends resume in the old active segment, as v2 frames.
+        for i in 7..10u64 {
+            let r = report(17002, i as u16);
+            assert_eq!(log.append(4, &r).unwrap(), i);
+            written.push((4u32, r));
+        }
+        assert_eq!(log.segment_count(), 2);
+        let mixed = std::fs::read(&active_path).unwrap();
+        assert!(mixed.starts_with(&active));
+        let version = u16::from_le_bytes([mixed[active.len() + 4], mixed[active.len() + 5]]);
+        assert_eq!(version, SEGMENT_VERSION);
+        drop(log);
+
+        // The mixed v1 + v2 segment reopens clean.
+        let (log, stats) = open(&dir, options);
+        check(&log, &stats, &written);
     }
 }

@@ -10,14 +10,20 @@
 //! - every byte is accounted for: `bytes_seen == bytes_recovered +
 //!   bytes_quarantined` — recovery quarantines, it never deletes;
 //! - recovery is idempotent: a second open of the repaired log is
-//!   clean.
+//!   clean;
+//! - the binary record codec round-trips every report bit for bit, and
+//!   a checksum-valid frame whose record layout is wrong is quarantined
+//!   as `decode`.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use vup_fleetsim::canbus::RawReport;
-use vup_ingest::log::{CommitLog, LogOptions, LogRecovery, QUARANTINE_DIR};
+use vup_ingest::log::{
+    CommitLog, LogOptions, LogRecovery, QUARANTINE_DIR, SEGMENT_MAGIC, SEGMENT_VERSION,
+};
 use vup_obs::{Registry, Tracer};
+use vup_serve::frame::{decode_frame_at, encode_frame};
 use vup_serve::{DiskBackend, DiskFaultPlan, FaultyBackend};
 
 fn temp_dir(tag: &str, case: u64) -> PathBuf {
@@ -43,6 +49,84 @@ fn report(i: u64) -> RawReport {
         pump_drive_temp_c: Some(58.0),
         oil_tank_temp_c: Some(49.0),
     }
+}
+
+/// A report's fields with every float as its bit pattern, so NaN
+/// payloads and signed zeros compare exactly.
+type ReportBits = (i64, u16, bool, Vec<Option<u64>>);
+
+fn report_bits(r: &RawReport) -> ReportBits {
+    let channels = [
+        r.fuel_level_pct,
+        r.engine_rpm,
+        r.oil_pressure_kpa,
+        r.coolant_temp_c,
+        r.fuel_rate_lph,
+        r.speed_kmh,
+        r.load_pct,
+        r.digging_pressure_kpa,
+        r.pump_drive_temp_c,
+        r.oil_tank_temp_c,
+    ];
+    (
+        r.day,
+        r.minute,
+        r.engine_on,
+        channels.iter().map(|c| c.map(f64::to_bits)).collect(),
+    )
+}
+
+/// Channel values that stress a bit-exact codec: signed zeros,
+/// infinities, quiet and signalling NaNs with payloads, and arbitrary
+/// bit patterns.
+fn channel_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0_f64),
+        Just(-0.0_f64),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+        any::<u64>()
+            .prop_map(|b| f64::from_bits(0x7FF0_0000_0000_0000 | (b & 0x800F_FFFF_FFFF_FFFF) | 1)),
+        any::<u64>().prop_map(f64::from_bits),
+        -1.0e6_f64..1.0e6,
+    ]
+}
+
+/// Arbitrary reports: extreme days, every minute up to `u16::MAX`, and
+/// each channel absent or present — sometimes all absent or all present.
+fn arbitrary_report() -> impl Strategy<Value = (u32, RawReport)> {
+    (
+        any::<u32>(),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0_i64), any::<i64>()],
+        prop_oneof![Just(u16::MAX), any::<u16>()],
+        any::<bool>(),
+        proptest::collection::vec(proptest::option::of(channel_value()), 10),
+        0_u8..4,
+    )
+        .prop_map(|(vehicle, day, minute, engine_on, mut c, mode)| {
+            match mode {
+                0 => c.iter_mut().for_each(|v| *v = None),
+                1 => c.iter_mut().for_each(|v| *v = Some(v.unwrap_or(1.5))),
+                _ => {}
+            }
+            let report = RawReport {
+                day,
+                minute,
+                engine_on,
+                fuel_level_pct: c[0],
+                engine_rpm: c[1],
+                oil_pressure_kpa: c[2],
+                coolant_temp_c: c[3],
+                fuel_rate_lph: c[4],
+                speed_kmh: c[5],
+                load_pct: c[6],
+                digging_pressure_kpa: c[7],
+                pump_drive_temp_c: c[8],
+                oil_tank_temp_c: c[9],
+            };
+            (vehicle, report)
+        })
 }
 
 fn open_clean(dir: &std::path::Path, options: LogOptions) -> (CommitLog, LogRecovery) {
@@ -225,6 +309,87 @@ proptest! {
         // ...and the junk tail is quarantined in one piece.
         let (_, stats) = open_clean(&dir, options.clone());
         prop_assert_eq!(stats.frames_recovered, written.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The binary record round-trips arbitrary reports bit for bit
+    /// through append, recovery and read.
+    #[test]
+    fn binary_records_round_trip_bit_for_bit(
+        reports in proptest::collection::vec(arbitrary_report(), 1..24),
+        segment_bytes in prop_oneof![Just(200_u64), Just(64 * 1024_u64)],
+    ) {
+        let case = reports.iter().fold(reports.len() as u64, |h, (v, r)| {
+            h.wrapping_mul(31) ^ u64::from(*v) ^ r.day as u64
+        });
+        let dir = temp_dir("codec", case);
+        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 2 };
+        {
+            let (mut log, _) = open_clean(&dir, options.clone());
+            for (vehicle, report) in &reports {
+                log.append(*vehicle, report).unwrap();
+            }
+        }
+        let (log, stats) = open_clean(&dir, options);
+        prop_assert!(stats.quarantined.is_empty(), "clean log quarantined: {:?}", stats);
+        let records = log.records().unwrap();
+        prop_assert_eq!(records.len(), reports.len());
+        for (i, (rec, (vehicle, report))) in records.iter().zip(&reports).enumerate() {
+            prop_assert_eq!(rec.offset, i as u64);
+            prop_assert_eq!(rec.vehicle_id, *vehicle);
+            prop_assert_eq!(report_bits(&rec.report), report_bits(report));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid version-2 frame whose record is malformed — a
+    /// reserved flag bit set, a length that disagrees with the channel
+    /// bits, or an offset that breaks the chain — is quarantined as
+    /// `decode`, and every frame before it survives.
+    #[test]
+    fn malformed_binary_record_is_quarantined_as_decode(
+        n in 1_usize..20,
+        kind in 0_u8..4,
+        amount in 1_usize..40,
+        reserved_bit in 11_u32..16,
+    ) {
+        let dir = temp_dir("malformed", (n as u64) << 16 | u64::from(kind) << 8 | amount as u64);
+        let options = LogOptions::default();
+        let mut written = Vec::new();
+        {
+            let (mut log, _) = open_clean(&dir, options.clone());
+            for i in 0..n as u64 {
+                let r = report(i);
+                log.append(5, &r).unwrap();
+                written.push((5u32, r));
+            }
+        }
+        // Re-frame the first record's payload as the next offset, then
+        // break exactly one layout rule.
+        let seg = dir.join(CommitLog::segment_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let (payload, _) = decode_frame_at(SEGMENT_MAGIC, SEGMENT_VERSION, &bytes, 0).unwrap();
+        let mut payload = payload.to_vec();
+        payload[0..8].copy_from_slice(&(n as u64).to_le_bytes());
+        match kind {
+            0 => {
+                let flags = u16::from_le_bytes([payload[22], payload[23]]) | 1 << reserved_bit;
+                payload[22..24].copy_from_slice(&flags.to_le_bytes());
+            }
+            1 => payload.extend(std::iter::repeat_n(0xA5, amount)),
+            2 => payload.truncate(payload.len().saturating_sub(amount)),
+            _ => payload[0..8].copy_from_slice(&(n as u64 + amount as u64).to_le_bytes()),
+        }
+        let bad = encode_frame(SEGMENT_MAGIC, SEGMENT_VERSION, &payload);
+        bytes.extend_from_slice(&bad);
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let (_, stats) = open_clean(&dir, options.clone());
+        prop_assert_eq!(stats.quarantined.len(), 1);
+        prop_assert_eq!(stats.quarantined[0].reason.as_str(), "decode");
+        prop_assert_eq!(stats.bytes_quarantined, bad.len() as u64);
+        let recovered = assert_contract(&dir, &options, &written);
+        prop_assert_eq!(recovered, n as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

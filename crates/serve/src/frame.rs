@@ -9,7 +9,7 @@
 //!   per file, validated with [`decode_frame_exact`];
 //! - telemetry commit-log segments (`VUPL`, `vup-ingest`) — many
 //!   frames back to back in one append-only file, walked with
-//!   [`decode_frame_at`].
+//!   [`decode_versioned_frame_at`].
 //!
 //! The header layout is pinned by unit tests below and documented in
 //! DESIGN.md: bytes 0..4 magic, 4..6 version (u16 LE), 6..8 reserved
@@ -28,30 +28,59 @@ pub const HEADER_LEN: usize = 16;
 /// transient ([`io::ErrorKind::Interrupted`]) failures.
 pub const MAX_IO_ATTEMPTS: u64 = 4;
 
-/// IEEE CRC32 (the zlib/PNG polynomial), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial:
+/// `CRC_TABLES[0]` is the classic bytewise table, and `CRC_TABLES[k]`
+/// advances a byte's contribution through `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// IEEE CRC32 (the zlib/PNG polynomial), slicing-by-8: eight bytes per
+/// step through eight tables, then bytewise for the last `len % 8`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ u32::MAX
 }
@@ -90,13 +119,31 @@ impl FrameDefect {
 /// Frames a serialized payload with the versioned, checksummed header.
 pub fn encode_frame(magic: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&[0u8; 2]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_into(&mut out, magic, version, |out| {
+        out.extend_from_slice(payload)
+    });
     out
+}
+
+/// Frames a payload built in place: clears `out`, reserves the header,
+/// lets `payload` append the payload bytes after it, then fills in the
+/// header. Reusing one `out` across calls makes framing allocation-free
+/// once the buffer has grown to the largest frame.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    magic: [u8; 4],
+    version: u16,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    payload(out);
+    let (header, body) = out.split_at_mut(HEADER_LEN);
+    let len = u32::try_from(body.len()).expect("frame payload length fits in u32");
+    header[0..4].copy_from_slice(&magic);
+    header[4..6].copy_from_slice(&version.to_le_bytes());
+    header[8..12].copy_from_slice(&len.to_le_bytes());
+    header[12..16].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// Decodes the frame starting at byte `at` of a multi-frame buffer.
@@ -110,6 +157,20 @@ pub fn decode_frame_at(
     bytes: &[u8],
     at: usize,
 ) -> Result<(&[u8], usize), FrameDefect> {
+    decode_versioned_frame_at(magic, &[version], bytes, at)
+        .map(|(_, payload, frame_len)| (payload, frame_len))
+}
+
+/// [`decode_frame_at`] for a reader that knows several format
+/// versions: accepts a frame whose version is any of `versions` and
+/// also returns that version, so the caller can pick the payload
+/// decoder per frame.
+pub fn decode_versioned_frame_at<'a>(
+    magic: [u8; 4],
+    versions: &[u16],
+    bytes: &'a [u8],
+    at: usize,
+) -> Result<(u16, &'a [u8], usize), FrameDefect> {
     let bytes = bytes.get(at..).ok_or(FrameDefect::Truncated)?;
     if bytes.len() < HEADER_LEN {
         return Err(FrameDefect::Truncated);
@@ -118,7 +179,7 @@ pub fn decode_frame_at(
         return Err(FrameDefect::Magic);
     }
     let got_version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if got_version != version {
+    if !versions.contains(&got_version) {
         return Err(FrameDefect::Version);
     }
     let declared_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
@@ -129,7 +190,7 @@ pub fn decode_frame_at(
     if crc32(body) != declared_crc {
         return Err(FrameDefect::Checksum);
     }
-    Ok((body, HEADER_LEN + declared_len))
+    Ok((got_version, body, HEADER_LEN + declared_len))
 }
 
 /// Decodes a buffer that must hold exactly one frame (the snapshot
@@ -175,6 +236,89 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The bytewise (one table lookup per byte) CRC32 the slicing-by-8
+    /// version must reproduce bit for bit; its table is built bit by bit
+    /// here, independently of `CRC_TABLES`.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ u32::MAX
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        // Deterministic filler: splitmix64 bytes.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let buf: Vec<u8> = (0..80).map(|_| next() as u8).collect();
+        // Every length 0..=64 at every start alignment 0..8.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        // Seeded random buffers of random lengths.
+        for _ in 0..200 {
+            let len = (next() % 4096) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
+    }
+
+    #[test]
+    fn versioned_decode_accepts_only_the_listed_versions() {
+        let mut buf = encode_frame(LOG_MAGIC, 1, b"old");
+        buf.extend_from_slice(&encode_frame(LOG_MAGIC, 2, b"new"));
+        let (v, payload, len) = decode_versioned_frame_at(LOG_MAGIC, &[1, 2], &buf, 0).unwrap();
+        assert_eq!((v, payload), (1, &b"old"[..]));
+        let (v, payload, _) = decode_versioned_frame_at(LOG_MAGIC, &[1, 2], &buf, len).unwrap();
+        assert_eq!((v, payload), (2, &b"new"[..]));
+        assert_eq!(
+            decode_versioned_frame_at(LOG_MAGIC, &[2], &buf, 0),
+            Err(FrameDefect::Version)
+        );
+        assert_eq!(
+            decode_frame_at(LOG_MAGIC, 1, &buf, len),
+            Err(FrameDefect::Version)
+        );
+    }
+
+    #[test]
+    fn in_place_framing_matches_encode_frame_and_reuses_the_buffer() {
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, LOG_MAGIC, 2, |o| {
+            o.extend_from_slice(b"first, longer")
+        });
+        assert_eq!(out, encode_frame(LOG_MAGIC, 2, b"first, longer"));
+        encode_frame_into(&mut out, SNAP_MAGIC, 1, |o| o.extend_from_slice(b"abc"));
+        assert_eq!(out, encode_frame(SNAP_MAGIC, 1, b"abc"));
     }
 
     #[test]

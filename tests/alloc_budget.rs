@@ -13,13 +13,17 @@
 //!   batch that populated it, and identically from batch to batch;
 //! - arena-built datasets are *exactly* (bit-for-bit) what the
 //!   per-record builder produces, across arbitrary window slides
-//!   (proptest).
+//!   (proptest);
+//! - a warm commit log appends without allocating until it rolls a
+//!   segment.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use vehicle_usage_prediction::core::window::{build_dataset, build_dataset_arena};
+use vehicle_usage_prediction::fleetsim::dropout::DropoutConfig;
+use vehicle_usage_prediction::fleetsim::generator::generate_day_raw_reports_scaled;
 use vehicle_usage_prediction::ml::arena::fingerprint;
 use vehicle_usage_prediction::ml::TrainArena;
 use vehicle_usage_prediction::prelude::*;
@@ -166,6 +170,53 @@ fn warm_cache_hit_batches_allocate_less_than_cold_and_steadily() {
         warm2, warm3,
         "consecutive fully-warm batches must have identical allocation counts"
     );
+}
+
+#[test]
+fn warm_commit_log_appends_that_do_not_roll_allocate_nothing() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("vup-alloc-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut log, _) = CommitLog::open(
+        Box::new(DiskBackend),
+        &dir,
+        LogOptions::default(),
+        &Registry::disabled(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
+    let fleet = Fleet::generate(FleetConfig::small(2, 31));
+    let reports: Vec<_> = (400..414)
+        .flat_map(|day| {
+            let date = fleet.config().start.plus_days(day);
+            generate_day_raw_reports_scaled(
+                &fleet,
+                VehicleId(0),
+                date,
+                &DropoutConfig::default(),
+                1.0,
+            )
+        })
+        .collect();
+    assert!(reports.len() >= 100, "only {} reports", reports.len());
+    // Warm-up: the first append opens the first segment.
+    for report in &reports[..4] {
+        log.append(0, report).unwrap();
+    }
+    let before = allocs();
+    for report in &reports[4..] {
+        log.append(0, report).unwrap();
+    }
+    let during = allocs() - before;
+    assert_eq!(log.segment_count(), 1, "the measured appends must not roll");
+    assert_eq!(
+        during,
+        0,
+        "{} warm appends allocated {during} times",
+        reports.len() - 4
+    );
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
