@@ -1,30 +1,30 @@
 //! Criterion bench of the observability layer's overhead.
 //!
-//! Three comparisons back the "zero cost when disabled" claim:
+//! Five comparisons back the "zero cost when disabled" claim:
 //!
 //! 1. raw metric operations — counter increments and histogram observes
 //!    against their no-op (disabled-registry) counterparts;
-//! 2. the executor — `run_chunked` vs. `run_chunked_observed` with a
-//!    disabled and a live `ExecutorMetrics` on identical task sets;
-//! 3. end-to-end fleet evaluation — `evaluate_fleet` vs.
-//!    `evaluate_fleet_observed` with a live registry;
+//! 2. the executor — `executor::run` with disabled vs. live
+//!    `ExecutorMetrics` and `SpanCtx` on identical task sets;
+//! 3. end-to-end fleet evaluation — `evaluate_fleet` with a disabled vs.
+//!    a live registry and tracer;
 //! 4. tracer spans — live ring-buffer records vs. the clock-free no-op
 //!    spans of a disabled tracer;
 //! 5. drift monitors — per-residual CUSUM updates and full fleet health
 //!    reports.
 //!
-//! The disabled variants should be indistinguishable from the plain
-//! paths; the live variants bound what full instrumentation costs.
+//! The disabled variants are the uninstrumented baseline; the live
+//! variants bound what full instrumentation costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use vup_bench::{evaluable_ids, small_fleet};
-use vup_core::executor::{run_chunked, run_chunked_observed, ExecutorMetrics};
-use vup_core::fleet_eval::{evaluate_fleet, evaluate_fleet_observed};
+use vup_core::executor::{self, ExecutorMetrics};
+use vup_core::fleet_eval::evaluate_fleet;
 use vup_core::{ModelSpec, PipelineConfig};
 use vup_ml::RegressorSpec;
-use vup_obs::{Buckets, FleetMonitor, MonitorConfig, Registry, Tracer};
+use vup_obs::{Buckets, FleetMonitor, MonitorConfig, Registry, SpanCtx, Tracer};
 
 fn bench_metric_ops(c: &mut Criterion) {
     let registry = Registry::new();
@@ -54,7 +54,6 @@ fn bench_metric_ops(c: &mut Criterion) {
 
 fn bench_executor_observed(c: &mut Criterion) {
     const N_TASKS: usize = 512;
-    const CHUNK: usize = 16;
     let work = |i: usize| -> u64 {
         let mut acc = i as u64;
         for _ in 0..200 {
@@ -66,17 +65,19 @@ fn bench_executor_observed(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor_observed");
     group.sample_size(20);
     for threads in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("plain", threads), &threads, |b, &t| {
-            b.iter(|| black_box(run_chunked(N_TASKS, t, CHUNK, work)))
-        });
         group.bench_with_input(BenchmarkId::new("disabled", threads), &threads, |b, &t| {
             let metrics = ExecutorMetrics::disabled();
-            b.iter(|| black_box(run_chunked_observed(N_TASKS, t, CHUNK, work, &metrics)))
+            let parent = SpanCtx::disabled();
+            b.iter(|| black_box(executor::run(N_TASKS, t, &metrics, &parent, work)))
         });
         group.bench_with_input(BenchmarkId::new("live", threads), &threads, |b, &t| {
             let registry = Registry::new();
             let metrics = ExecutorMetrics::register(&registry, "bench");
-            b.iter(|| black_box(run_chunked_observed(N_TASKS, t, CHUNK, work, &metrics)))
+            let tracer = Tracer::new();
+            b.iter(|| {
+                let root = tracer.root("bench_run");
+                black_box(executor::run(N_TASKS, t, &metrics, &root.ctx(), work))
+            })
         });
     }
     group.finish();
@@ -94,18 +95,29 @@ fn bench_fleet_eval_observed(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fleet_eval_observed");
     group.sample_size(10);
-    group.bench_function("plain", |b| {
-        b.iter(|| black_box(evaluate_fleet(black_box(&fleet), &ids, &config, 4)))
-    });
-    group.bench_function("live_registry", |b| {
-        let registry = Registry::new();
+    group.bench_function("disabled", |b| {
+        let (registry, tracer) = (Registry::disabled(), Tracer::disabled());
         b.iter(|| {
-            black_box(evaluate_fleet_observed(
+            black_box(evaluate_fleet(
                 black_box(&fleet),
                 &ids,
                 &config,
                 4,
                 &registry,
+                &tracer,
+            ))
+        })
+    });
+    group.bench_function("live", |b| {
+        let (registry, tracer) = (Registry::new(), Tracer::new());
+        b.iter(|| {
+            black_box(evaluate_fleet(
+                black_box(&fleet),
+                &ids,
+                &config,
+                4,
+                &registry,
+                &tracer,
             ))
         })
     });

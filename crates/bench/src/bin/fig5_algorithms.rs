@@ -12,6 +12,7 @@ use vup_bench::{bar, evaluable_ids, print_header, small_fleet, write_json};
 use vup_core::fleet_eval::evaluate_fleet;
 use vup_core::report::{distribution_summary, AlgorithmResult};
 use vup_core::{PipelineConfig, Scenario};
+use vup_obs::{Registry, Tracer};
 
 const N_VEHICLES: usize = 60;
 /// Most recent slots evaluated per vehicle (see EXPERIMENTS.md).
@@ -19,6 +20,7 @@ const EVAL_TAIL: usize = 360;
 
 fn main() {
     let fleet = small_fleet(600);
+    let (registry, tracer) = (Registry::disabled(), Tracer::disabled());
     let mut results: Vec<AlgorithmResult> = Vec::new();
 
     for scenario in Scenario::ALL {
@@ -54,7 +56,7 @@ fn main() {
                 model: model.clone(),
                 ..probe.clone()
             };
-            let eval = evaluate_fleet(&fleet, &ids, &cfg, 0);
+            let (eval, _) = evaluate_fleet(&fleet, &ids, &cfg, 0, &registry, &tracer);
             let dist = eval.pe_distribution();
             let Some((mean, median, q1, q3)) = distribution_summary(&dist) else {
                 println!("{:>6} {:>8}", model.label(), "n/a");

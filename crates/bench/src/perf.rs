@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use vup_core::executor::CancelToken;
-use vup_core::fleet_eval::evaluate_fleet_traced;
+use vup_core::fleet_eval::evaluate_fleet;
 use vup_core::{ModelSpec, PipelineConfig};
 use vup_fleetsim::VehicleId;
 use vup_ingest::{ingest_stream, replay, CommitLog, LogOptions, ReplayConfig, StreamConfig};
@@ -336,7 +336,7 @@ pub fn run_fleet_eval(options: &BenchOptions) -> Result<WorkloadOutcome, String>
     }
     let tracer = Tracer::new();
     let started = Instant::now();
-    let (evaluation, _) = evaluate_fleet_traced(
+    let (evaluation, _) = evaluate_fleet(
         &fleet,
         &ids,
         &config,

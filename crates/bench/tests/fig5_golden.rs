@@ -12,6 +12,7 @@ use vup_bench::{evaluable_ids, small_fleet};
 use vup_core::fleet_eval::evaluate_fleet;
 use vup_core::report::{distribution_summary, AlgorithmResult};
 use vup_core::{ModelSpec, PipelineConfig, Scenario};
+use vup_obs::{Registry, Tracer};
 
 /// Mirrors the constants in `src/bin/fig5_algorithms.rs`.
 const N_VEHICLES: usize = 60;
@@ -29,6 +30,7 @@ fn fig5_baseline_rows_match_the_golden_results() {
     assert_eq!(golden.len(), 12, "6 models x 2 scenarios");
 
     let fleet = small_fleet(600);
+    let (registry, tracer) = (Registry::disabled(), Tracer::disabled());
     for scenario in Scenario::ALL {
         let probe = PipelineConfig {
             scenario,
@@ -46,7 +48,7 @@ fn fig5_baseline_rows_match_the_golden_results() {
                 model: model.clone(),
                 ..probe.clone()
             };
-            let eval = evaluate_fleet(&fleet, &ids, &cfg, 0);
+            let (eval, _) = evaluate_fleet(&fleet, &ids, &cfg, 0, &registry, &tracer);
             let dist = eval.pe_distribution();
             let (mean, median, q1, q3) = distribution_summary(&dist).expect("vehicles evaluated");
 

@@ -1,13 +1,14 @@
-//! Lock-free chunked work dispatch over scoped threads.
+//! Lock-free work dispatch over scoped threads.
 //!
 //! Both offline fleet evaluation ([`crate::fleet_eval`]) and online batch
 //! serving (`vup-serve`) run many independent per-vehicle tasks and need
-//! their results back in input order. This executor does that without any
+//! their results back in input order. [`run`] does that without any
 //! mutex on the hot path:
 //!
-//! - **Dispatch** is a single `AtomicUsize` cursor. Workers claim chunks
-//!   of indices with `fetch_add`, so there is no dispatch lock and no
-//!   per-task allocation.
+//! - **Dispatch** is a single `AtomicUsize` cursor. Workers claim one
+//!   task index at a time with `fetch_add`, so there is no dispatch lock
+//!   and no per-task allocation; one task per claim gives the best load
+//!   balance for heavy, uneven tasks such as per-vehicle model training.
 //! - **Collection** writes into a pre-allocated per-slot output vector.
 //!   Each index is claimed by exactly one worker, so slot writes never
 //!   contend; there is no result lock and no post-hoc sort — outputs
@@ -20,129 +21,60 @@
 //! thread count or scheduling, and slot `i` always holds task `i`'s
 //! result, so the returned vector is identical for any thread count.
 //!
-//! A mutex-based scheduler with the same contract is kept in
-//! [`run_chunked_mutex_baseline`] purely as the benchmark baseline; it
-//! mirrors the design this executor replaced (shared cursor mutex plus a
-//! results mutex with a final sort).
-//!
-//! **Observability.** [`run_chunked_observed`] is the same scheduler with
-//! a per-worker stats side channel: each worker counts its claimed chunks
-//! and executed tasks locally (plain `u64`s, no shared state on the hot
-//! path) and, when the supplied [`ExecutorMetrics`] are live, times its
-//! busy and idle spans. The stats are folded into a [`RunSummary`] and
-//! published to the metrics registry once per run, on the coordinating
-//! thread. With disabled metrics no clock is ever read, and the task
+//! **Observability.** Each worker counts its executed tasks locally
+//! (plain `u64`s, no shared state on the hot path) and, when the supplied
+//! [`ExecutorMetrics`] are live, times its busy and idle spans. The stats
+//! are folded into a [`RunSummary`] and published to the metrics registry
+//! once per run, on the coordinating thread. Every worker runs under an
+//! `executor_worker` span parented to the caller's [`SpanCtx`]. Callers
+//! without observability pass [`ExecutorMetrics::disabled`] and
+//! [`SpanCtx::disabled`]: then no clock is ever read, and the task
 //! results are bit-identical either way — the stats are write-only.
-//! [`run_chunked_traced`] additionally gives each worker an
-//! `executor_worker` span under a caller-supplied [`SpanCtx`]; with a
-//! disabled context the spans are no-ops and, again, no clock is read.
-//!
-//! **Cancellation.** [`run_chunked_cancellable`] threads a
-//! [`CancelToken`] through the dispatch loop: workers re-check it before
-//! every chunk claim, so a manual trip or an expired wall-clock deadline
-//! stops the run at the next claim boundary and fills every unclaimed
-//! slot with `Err(`[`CANCELLED_TASK`]`)`. The never-token used by all
-//! other entry points keeps the check to one discriminant read.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vup_obs::{Counter, Gauge, Registry, SpanCtx};
 
 /// Outcome of one task: its value, or the captured panic message.
 pub type TaskResult<T> = std::result::Result<T, String>;
 
-/// Error message filled into the slots of tasks a cancelled run never
-/// claimed (see [`CancelToken`]).
-pub const CANCELLED_TASK: &str = "cancelled before execution";
-
-/// Cooperative cancellation for executor runs.
-///
-/// Workers check the token between chunk claims: once it reports
-/// cancelled, no *new* chunk is claimed (tasks already in flight finish
-/// normally) and every unclaimed slot comes back as
-/// `Err(`[`CANCELLED_TASK`]`)`. Two trip conditions exist:
-///
-/// - **manual** — [`CancelToken::cancel`] flips a shared flag;
-/// - **deadline** — a token built with [`CancelToken::with_deadline`]
-///   additionally trips once the wall clock passes the deadline.
-///
-/// [`CancelToken::never`] (also the `Default`) holds nothing: checks are
-/// a single `Option` discriminant read and **never touch the clock**, so
-/// the plain entry points keep the executor's clock-free guarantee.
+/// A shared shutdown flag: clones observe the same state, and once
+/// [`CancelToken::cancel`] is called every clone reports cancelled.
 #[derive(Clone, Default)]
 pub struct CancelToken {
-    inner: Option<Arc<CancelInner>>,
-}
-
-struct CancelInner {
-    flag: AtomicBool,
-    deadline: Option<Instant>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// A live token that only trips when [`CancelToken::cancel`] is
-    /// called.
+    /// A token that has not been cancelled.
     pub fn new() -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// A token that can never trip; checks are clock-free no-ops.
-    pub fn never() -> CancelToken {
         CancelToken::default()
-    }
-
-    /// A live token that additionally trips once `budget` of wall-clock
-    /// time has elapsed from now. Checking such a token reads the clock.
-    pub fn with_deadline(budget: Duration) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                deadline: Some(Instant::now() + budget),
-            })),
-        }
     }
 
     /// Trips the token; every subsequent check reports cancelled.
     pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flag.store(true, Ordering::Release);
-        }
+        self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has tripped (manually, or by passing its
-    /// deadline). Always `false` for [`CancelToken::never`], with no
-    /// clock read.
+    /// Whether the token has been tripped.
     pub fn is_cancelled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.flag.load(Ordering::Acquire)
-                    || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            }
-        }
+        self.flag.load(Ordering::Acquire)
     }
 }
 
 /// What one executor worker did during one run.
 ///
-/// Chunk and task counts are always collected (two local `u64` adds per
-/// chunk). The nanosecond spans are only measured when the run's
+/// The task count is always collected (one local `u64` add per task).
+/// The nanosecond spans are only measured when the run's
 /// [`ExecutorMetrics`] are live; otherwise they stay 0 and the clock is
 /// never read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Chunks this worker claimed from the dispatch cursor.
-    pub chunks_claimed: u64,
-    /// Tasks this worker executed.
+    /// Tasks this worker claimed and executed.
     pub tasks_run: u64,
     /// Nanoseconds spent inside task bodies.
     pub busy_nanos: u64,
@@ -151,11 +83,10 @@ pub struct WorkerStats {
     pub idle_nanos: u64,
 }
 
-/// Per-worker stats of one [`run_chunked_observed`] call.
+/// Per-worker stats of one [`run`] call.
 ///
 /// Worker entries are in completion order, which is scheduler-dependent;
 /// the totals are what to assert on. Summed over all workers,
-/// `chunks_claimed` is always `n_tasks.div_ceil(chunk_size)` and
 /// `tasks_run` is always `n_tasks`, for every thread count.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {
@@ -164,11 +95,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Total chunks claimed across all workers.
-    pub fn chunks_claimed(&self) -> u64 {
-        self.workers.iter().map(|w| w.chunks_claimed).sum()
-    }
-
     /// Total tasks executed across all workers.
     pub fn tasks_run(&self) -> u64 {
         self.workers.iter().map(|w| w.tasks_run).sum()
@@ -189,12 +115,12 @@ impl RunSummary {
 ///
 /// Register once per pool (e.g. `"fleet_eval"`, `"serve"`) and reuse for
 /// every run; the `pool` label keeps independent dispatch sites apart in
-/// one registry. [`ExecutorMetrics::disabled`] is the no-op used by the
-/// un-instrumented entry points.
+/// one registry. [`ExecutorMetrics::disabled`] records nothing and keeps
+/// runs clock-free.
 pub struct ExecutorMetrics {
     enabled: bool,
     runs: Counter,
-    chunks: Counter,
+    claims: Counter,
     tasks: Counter,
     busy_nanos: Counter,
     idle_nanos: Counter,
@@ -207,7 +133,7 @@ impl ExecutorMetrics {
         registry.describe("vup_executor_runs_total", "Executor runs, by pool.");
         registry.describe(
             "vup_executor_chunks_claimed_total",
-            "Chunks claimed from the dispatch cursor.",
+            "Claims from the dispatch cursor (one task each).",
         );
         registry.describe("vup_executor_tasks_total", "Tasks executed.");
         registry.describe(
@@ -226,7 +152,7 @@ impl ExecutorMetrics {
         ExecutorMetrics {
             enabled: registry.is_enabled(),
             runs: registry.counter_with("vup_executor_runs_total", &labels),
-            chunks: registry.counter_with("vup_executor_chunks_claimed_total", &labels),
+            claims: registry.counter_with("vup_executor_chunks_claimed_total", &labels),
             tasks: registry.counter_with("vup_executor_tasks_total", &labels),
             busy_nanos: registry.counter_with("vup_executor_busy_nanos_total", &labels),
             idle_nanos: registry.counter_with("vup_executor_idle_nanos_total", &labels),
@@ -250,7 +176,7 @@ impl ExecutorMetrics {
             return;
         }
         self.runs.inc();
-        self.chunks.add(summary.chunks_claimed());
+        self.claims.add(summary.tasks_run());
         self.tasks.add(summary.tasks_run());
         self.busy_nanos.add(summary.busy_nanos());
         self.idle_nanos.add(summary.idle_nanos());
@@ -308,150 +234,27 @@ pub fn effective_threads(n_threads: usize, n_tasks: usize) -> usize {
     requested.min(n_tasks).max(1)
 }
 
-/// Runs `n_tasks` independent tasks on `n_threads` workers (0 = auto),
-/// one task per claim. Best for heavy, uneven tasks such as per-vehicle
-/// model training. Results are returned in task-index order.
-pub fn run_tasks<T, F>(n_tasks: usize, n_threads: usize, task: F) -> Vec<TaskResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked(n_tasks, n_threads, 1, task)
-}
-
-/// [`run_tasks`] with per-worker stats and metrics publishing.
-pub fn run_tasks_observed<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    task: F,
-    metrics: &ExecutorMetrics,
-) -> (Vec<TaskResult<T>>, RunSummary)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_observed(n_tasks, n_threads, 1, task, metrics)
-}
-
-/// [`run_tasks_observed`] with per-worker trace spans under `parent`.
-pub fn run_tasks_traced<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    task: F,
-    metrics: &ExecutorMetrics,
-    parent: &SpanCtx,
-) -> (Vec<TaskResult<T>>, RunSummary)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_traced(n_tasks, n_threads, 1, task, metrics, parent)
-}
-
-/// Runs `n_tasks` independent tasks, claimed `chunk_size` indices at a
-/// time. Larger chunks amortize the atomic claim for very light tasks;
-/// `chunk_size = 1` gives the best load balance for heavy ones.
-pub fn run_chunked<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
-    task: F,
-) -> Vec<TaskResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_observed(
-        n_tasks,
-        n_threads,
-        chunk_size,
-        task,
-        &ExecutorMetrics::disabled(),
-    )
-    .0
-}
-
-/// [`run_chunked`] with per-worker stats and metrics publishing.
+/// Runs `n_tasks` independent tasks on `n_threads` workers (0 = auto)
+/// and returns their results in task-index order, plus a [`RunSummary`]
+/// of what each worker did.
 ///
-/// Returns the task results (identical to [`run_chunked`]'s, bit for bit)
-/// plus a [`RunSummary`] of what each worker did. When `metrics` are live
-/// the workers additionally time their busy/idle spans and the summary is
-/// published to the registry; when disabled no clock is read and only the
-/// chunk/task counts are collected.
-pub fn run_chunked_observed<T, F>(
+/// Every worker (including the single-threaded inline path) runs under
+/// an `executor_worker` span parented to `parent`, annotated with the
+/// tasks it ran. When `metrics` are live the workers also time their
+/// busy/idle spans and the summary is published to the registry; with
+/// disabled metrics and a disabled `parent` no clock is read. The task
+/// results are identical either way.
+pub fn run<T, F>(
     n_tasks: usize,
     n_threads: usize,
-    chunk_size: usize,
-    task: F,
-    metrics: &ExecutorMetrics,
-) -> (Vec<TaskResult<T>>, RunSummary)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_traced(
-        n_tasks,
-        n_threads,
-        chunk_size,
-        task,
-        metrics,
-        &SpanCtx::disabled(),
-    )
-}
-
-/// [`run_chunked_observed`] with per-worker trace spans: every worker
-/// (including the single-threaded fast path) runs under an
-/// `executor_worker` span parented to `parent`, annotated with the
-/// chunks and tasks it processed. A disabled `parent` makes the spans
-/// no-ops — no clock reads, identical results.
-pub fn run_chunked_traced<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
-    task: F,
     metrics: &ExecutorMetrics,
     parent: &SpanCtx,
-) -> (Vec<TaskResult<T>>, RunSummary)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_cancellable(
-        n_tasks,
-        n_threads,
-        chunk_size,
-        task,
-        metrics,
-        parent,
-        &CancelToken::never(),
-    )
-}
-
-/// [`run_chunked_traced`] with a deadline-aware cancellation check:
-/// workers consult `cancel` before every chunk claim (and, on the
-/// single-threaded fast path, before every task), so a tripped token —
-/// manual or wall-clock deadline — stops the run at the next claim
-/// boundary. Tasks already in flight complete; every task that was never
-/// claimed yields `Err(`[`CANCELLED_TASK`]`)` in its slot, and
-/// `tasks_run` in the summary counts only the tasks that actually
-/// executed. With [`CancelToken::never`] this is exactly
-/// [`run_chunked_traced`]: one extra discriminant read per claim, no
-/// clock access.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chunked_cancellable<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
     task: F,
-    metrics: &ExecutorMetrics,
-    parent: &SpanCtx,
-    cancel: &CancelToken,
 ) -> (Vec<TaskResult<T>>, RunSummary)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(chunk_size > 0, "chunk_size must be positive");
     if n_tasks == 0 {
         let summary = RunSummary::default();
         metrics.record(&summary);
@@ -468,25 +271,14 @@ where
         // Same semantics (per-task panic isolation), no thread overhead.
         let mut span = parent.child("executor_worker");
         let started = timed.then(Instant::now);
-        let mut executed = 0usize;
-        let results: Vec<TaskResult<T>> = (0..n_tasks)
-            .map(|i| {
-                if cancel.is_cancelled() {
-                    return Err(CANCELLED_TASK.to_string());
-                }
-                executed += 1;
-                run_one(i)
-            })
-            .collect();
+        let results: Vec<TaskResult<T>> = (0..n_tasks).map(run_one).collect();
         let summary = RunSummary {
             workers: vec![WorkerStats {
-                chunks_claimed: executed.div_ceil(chunk_size) as u64,
-                tasks_run: executed as u64,
+                tasks_run: n_tasks as u64,
                 busy_nanos: started.map_or(0, elapsed_nanos),
                 idle_nanos: 0,
             }],
         };
-        span.arg("chunks", summary.chunks_claimed());
         span.arg("tasks", summary.tasks_run());
         metrics.record(&summary);
         return (results, summary);
@@ -505,31 +297,23 @@ where
                 let worker_started = timed.then(Instant::now);
                 let mut stats = WorkerStats::default();
                 loop {
-                    if cancel.is_cancelled() {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_tasks {
                         break;
                     }
-                    let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
-                    if start >= n_tasks {
-                        break;
-                    }
-                    let end = (start + chunk_size).min(n_tasks);
-                    stats.chunks_claimed += 1;
-                    stats.tasks_run += (end - start) as u64;
-                    let chunk_started = timed.then(Instant::now);
-                    for i in start..end {
-                        let result = run_one(i);
-                        // Sound: this worker is the unique claimant of i
-                        // (fetch_add hands out each index once).
-                        unsafe { slots.write(i, result) };
-                    }
-                    if let Some(t0) = chunk_started {
+                    stats.tasks_run += 1;
+                    let task_started = timed.then(Instant::now);
+                    let result = run_one(i);
+                    // Sound: this worker is the unique claimant of i
+                    // (fetch_add hands out each index once).
+                    unsafe { slots.write(i, result) };
+                    if let Some(t0) = task_started {
                         stats.busy_nanos += elapsed_nanos(t0);
                     }
                 }
                 if let Some(t0) = worker_started {
                     stats.idle_nanos = elapsed_nanos(t0).saturating_sub(stats.busy_nanos);
                 }
-                span.arg("chunks", stats.chunks_claimed);
                 span.arg("tasks", stats.tasks_run);
                 worker_stats.lock().expect("stats lock").push(stats);
             });
@@ -543,61 +327,9 @@ where
 
     let results = slots
         .into_values()
-        // Every claimed slot was filled before its worker was joined; an
-        // empty slot means the run was cancelled before the index was
-        // ever claimed.
-        .map(|slot| slot.unwrap_or_else(|| Err(CANCELLED_TASK.to_string())))
+        .map(|slot| slot.expect("every index is claimed and written before its worker is joined"))
         .collect();
     (results, summary)
-}
-
-/// The pre-refactor scheduler, kept only so benchmarks can compare it
-/// against [`run_chunked`]: a mutex-guarded cursor for dispatch and a
-/// mutex-guarded result vector that must be sorted afterwards.
-pub fn run_chunked_mutex_baseline<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
-    task: F,
-) -> Vec<TaskResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if n_tasks == 0 {
-        return Vec::new();
-    }
-    let n_threads = effective_threads(n_threads, n_tasks);
-
-    let cursor: Mutex<usize> = Mutex::new(0);
-    let results: Mutex<Vec<(usize, TaskResult<T>)>> = Mutex::new(Vec::with_capacity(n_tasks));
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|| loop {
-                let start = {
-                    let mut next = cursor.lock().expect("cursor lock");
-                    if *next >= n_tasks {
-                        break;
-                    }
-                    let start = *next;
-                    *next = (*next + chunk_size).min(n_tasks);
-                    start
-                };
-                let end = (start + chunk_size).min(n_tasks);
-                for i in start..end {
-                    let result = catch_unwind(AssertUnwindSafe(|| task(i)))
-                        .map_err(|payload| panic_message(&*payload));
-                    results.lock().expect("results lock").push((i, result));
-                }
-            });
-        }
-    });
-
-    let mut collected = results.into_inner().expect("results lock");
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -615,98 +347,95 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// An untraced, unmetered run's task values (panics unwrap).
+    fn values<T: Send>(
+        n_tasks: usize,
+        n_threads: usize,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        run(
+            n_tasks,
+            n_threads,
+            &ExecutorMetrics::disabled(),
+            &SpanCtx::disabled(),
+            task,
+        )
+        .0
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect()
+    }
+
     #[test]
     fn results_are_in_task_order_for_all_thread_counts() {
         for threads in [1usize, 2, 4, 0] {
-            let results = run_tasks(100, threads, |i| i * i);
-            let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
             let expected: Vec<usize> = (0..100).map(|i| i * i).collect();
-            assert_eq!(values, expected, "threads = {threads}");
+            assert_eq!(
+                values(100, threads, |i| i * i),
+                expected,
+                "threads = {threads}"
+            );
         }
     }
 
     #[test]
-    fn chunked_claiming_covers_every_index_exactly_once() {
+    fn claiming_covers_every_index_exactly_once() {
         use std::sync::atomic::AtomicU32;
-        for chunk in [1usize, 3, 7, 64, 1000] {
+        for threads in [1usize, 2, 4, 8] {
             let calls: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
-            let results = run_chunked(97, 4, chunk, |i| {
+            let results = values(97, threads, |i| {
                 calls[i].fetch_add(1, Ordering::Relaxed);
                 i
             });
             assert_eq!(results.len(), 97);
             for (i, c) in calls.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "chunk {chunk}, index {i}");
+                assert_eq!(c.load(Ordering::Relaxed), 1, "threads {threads}, index {i}");
             }
         }
     }
 
     #[test]
     fn a_panicking_task_is_isolated_to_its_slot() {
-        let results = run_tasks(10, 4, |i| {
-            if i == 3 {
-                panic!("task {i} exploded");
-            }
-            i + 1
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i == 3 {
-                let message = r.as_ref().unwrap_err();
-                assert!(message.contains("task 3 exploded"), "got: {message}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i + 1);
+        for threads in [1usize, 4] {
+            let (results, _) = run(
+                10,
+                threads,
+                &ExecutorMetrics::disabled(),
+                &SpanCtx::disabled(),
+                |i| {
+                    if i % 3 == 0 {
+                        panic!("task {i} exploded");
+                    }
+                    i + 1
+                },
+            );
+            for (i, r) in results.iter().enumerate() {
+                if i % 3 == 0 {
+                    let message = r.as_ref().unwrap_err();
+                    assert!(
+                        message.contains(&format!("task {i} exploded")),
+                        "got: {message}"
+                    );
+                } else {
+                    assert_eq!(*r.as_ref().unwrap(), i + 1, "threads = {threads}");
+                }
             }
         }
     }
 
     #[test]
-    fn panics_are_isolated_single_threaded_too() {
-        let results = run_tasks(4, 1, |i| {
-            if i % 2 == 0 {
-                panic!("even panic");
-            }
-            i
-        });
-        assert!(results[0].is_err());
-        assert_eq!(*results[1].as_ref().unwrap(), 1);
-        assert!(results[2].is_err());
-        assert_eq!(*results[3].as_ref().unwrap(), 3);
-    }
-
-    #[test]
-    fn zero_tasks_returns_empty() {
-        let results: Vec<TaskResult<u8>> = run_tasks(0, 4, |_| unreachable!());
-        assert!(results.is_empty());
-        let results: Vec<TaskResult<u8>> = run_chunked_mutex_baseline(0, 4, 8, |_| unreachable!());
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn mutex_baseline_matches_lock_free_results() {
-        let a = run_chunked(50, 4, 4, |i| i as u64 * 3);
-        let b = run_chunked_mutex_baseline(50, 4, 4, |i| i as u64 * 3);
-        let a: Vec<u64> = a.into_iter().map(|r| r.unwrap()).collect();
-        let b: Vec<u64> = b.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn observed_run_matches_plain_run_and_counts_everything() {
-        for (threads, chunk) in [(1usize, 1usize), (1, 8), (4, 1), (4, 8), (0, 3)] {
-            let plain = run_chunked(97, threads, chunk, |i| i * 2);
-            let (observed, summary) =
-                run_chunked_observed(97, threads, chunk, |i| i * 2, &ExecutorMetrics::disabled());
-            let a: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
-            let b: Vec<usize> = observed.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(a, b, "threads {threads}, chunk {chunk}");
-            // The claim/task totals are deterministic for every schedule.
-            assert_eq!(summary.tasks_run(), 97, "threads {threads}, chunk {chunk}");
-            assert_eq!(
-                summary.chunks_claimed(),
-                97usize.div_ceil(chunk) as u64,
-                "threads {threads}, chunk {chunk}"
+    fn untimed_runs_count_every_task_and_read_no_clock() {
+        for threads in [1usize, 4, 0] {
+            let (results, summary) = run(
+                97,
+                threads,
+                &ExecutorMetrics::disabled(),
+                &SpanCtx::disabled(),
+                |i| i * 2,
             );
-            // Untimed run: no clock was read, so no nanos were recorded.
+            assert_eq!(results.len(), 97, "threads {threads}");
+            // The task total is deterministic for every schedule.
+            assert_eq!(summary.tasks_run(), 97, "threads {threads}");
             assert_eq!(summary.busy_nanos(), 0);
             assert_eq!(summary.idle_nanos(), 0);
         }
@@ -716,33 +445,17 @@ mod tests {
     fn live_metrics_accumulate_run_totals() {
         let registry = Registry::new();
         let metrics = ExecutorMetrics::register(&registry, "test_pool");
-        let (_, first) = run_chunked_observed(20, 4, 2, |i| i, &metrics);
-        let (_, second) = run_chunked_observed(10, 2, 1, |i| i, &metrics);
+        let (_, first) = run(20, 4, &metrics, &SpanCtx::disabled(), |i| i);
+        let (_, second) = run(10, 2, &metrics, &SpanCtx::disabled(), |i| i);
         assert!(first.workers.len() <= 4 && !first.workers.is_empty());
 
         let labels = [("pool", "test_pool")];
+        let counter = |name: &str| registry.counter_with(name, &labels).get();
+        assert_eq!(counter("vup_executor_runs_total"), 2);
+        assert_eq!(counter("vup_executor_tasks_total"), 30);
+        assert_eq!(counter("vup_executor_chunks_claimed_total"), 30);
         assert_eq!(
-            registry
-                .counter_with("vup_executor_runs_total", &labels)
-                .get(),
-            2
-        );
-        assert_eq!(
-            registry
-                .counter_with("vup_executor_tasks_total", &labels)
-                .get(),
-            30
-        );
-        assert_eq!(
-            registry
-                .counter_with("vup_executor_chunks_claimed_total", &labels)
-                .get(),
-            first.chunks_claimed() + second.chunks_claimed()
-        );
-        assert_eq!(
-            registry
-                .counter_with("vup_executor_busy_nanos_total", &labels)
-                .get(),
+            counter("vup_executor_busy_nanos_total"),
             first.busy_nanos() + second.busy_nanos()
         );
         assert_eq!(
@@ -752,11 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn observed_empty_run_still_counts_the_run() {
+    fn an_empty_run_still_counts_the_run() {
         let registry = Registry::new();
         let metrics = ExecutorMetrics::register(&registry, "empty");
-        let (results, summary) =
-            run_chunked_observed(0, 4, 1, |_: usize| -> u8 { unreachable!() }, &metrics);
+        let (results, summary) = run(0, 4, &metrics, &SpanCtx::disabled(), |_: usize| -> u8 {
+            unreachable!()
+        });
         assert!(results.is_empty() && summary.workers.is_empty());
         let labels = [("pool", "empty")];
         assert_eq!(
@@ -774,24 +488,25 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_plain_and_records_worker_spans() {
+    fn traced_run_matches_untraced_and_records_worker_spans() {
         use vup_obs::Tracer;
         for threads in [1usize, 4] {
             let tracer = Tracer::new();
             let root = tracer.root("run");
-            let (traced, summary) = run_chunked_traced(
+            let (traced, summary) = run(
                 40,
                 threads,
-                4,
-                |i| i * 3,
                 &ExecutorMetrics::disabled(),
                 &root.ctx(),
+                |i| i * 3,
             );
             drop(root);
-            let plain = run_chunked(40, threads, 4, |i| i * 3);
-            let a: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
-            let b: Vec<usize> = traced.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(a, b, "threads = {threads}");
+            let traced: Vec<usize> = traced.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(
+                traced,
+                values(40, threads, |i| i * 3),
+                "threads = {threads}"
+            );
 
             let snapshot = tracer.snapshot();
             let workers: Vec<_> = snapshot
@@ -818,115 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_span_ctx_keeps_the_traced_path_clock_free() {
-        let (results, summary) = run_chunked_traced(
-            16,
-            2,
-            2,
-            |i| i,
-            &ExecutorMetrics::disabled(),
-            &SpanCtx::disabled(),
-        );
-        assert_eq!(results.len(), 16);
-        assert_eq!(summary.busy_nanos(), 0);
-        assert_eq!(summary.idle_nanos(), 0);
-    }
-
-    #[test]
-    fn never_token_matches_the_plain_run_bit_for_bit() {
-        for threads in [1usize, 4] {
-            let plain = run_chunked(60, threads, 3, |i| i * 7);
-            let (cancellable, summary) = run_chunked_cancellable(
-                60,
-                threads,
-                3,
-                |i| i * 7,
-                &ExecutorMetrics::disabled(),
-                &SpanCtx::disabled(),
-                &CancelToken::never(),
-            );
-            let a: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
-            let b: Vec<usize> = cancellable.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(a, b, "threads = {threads}");
-            assert_eq!(summary.tasks_run(), 60);
-            // A never-token run stays clock-free.
-            assert_eq!(summary.busy_nanos(), 0);
-        }
-    }
-
-    #[test]
-    fn pre_tripped_token_cancels_every_unclaimed_task() {
+    fn cancel_token_clones_share_one_flag() {
         let token = CancelToken::new();
-        token.cancel();
-        for threads in [1usize, 4] {
-            let (results, summary) = run_chunked_cancellable(
-                20,
-                threads,
-                2,
-                |_| -> usize { panic!("a cancelled run must not execute tasks") },
-                &ExecutorMetrics::disabled(),
-                &SpanCtx::disabled(),
-                &token,
-            );
-            assert_eq!(results.len(), 20, "threads = {threads}");
-            for r in &results {
-                assert_eq!(r.as_ref().unwrap_err(), CANCELLED_TASK);
-            }
-            assert_eq!(summary.tasks_run(), 0, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_new_claims_but_keeps_finished_work() {
-        // Single-threaded so the trip point is deterministic: task 5
-        // cancels the token, so tasks 0..=5 ran and 6.. were never
-        // claimed.
-        let token = CancelToken::new();
-        let (results, summary) = run_chunked_cancellable(
-            12,
-            1,
-            1,
-            |i| {
-                if i == 5 {
-                    token.cancel();
-                }
-                i * 2
-            },
-            &ExecutorMetrics::disabled(),
-            &SpanCtx::disabled(),
-            &token,
-        );
-        for (i, r) in results.iter().enumerate() {
-            if i <= 5 {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            } else {
-                assert_eq!(r.as_ref().unwrap_err(), CANCELLED_TASK);
-            }
-        }
-        assert_eq!(summary.tasks_run(), 6);
-    }
-
-    #[test]
-    fn expired_deadline_token_reports_cancelled() {
-        let token = CancelToken::with_deadline(Duration::from_nanos(0));
-        assert!(token.is_cancelled());
-        let (results, _) = run_chunked_cancellable(
-            8,
-            2,
-            1,
-            |i| i,
-            &ExecutorMetrics::disabled(),
-            &SpanCtx::disabled(),
-            &token,
-        );
-        assert!(results.iter().all(|r| r.is_err()));
-        // A generous deadline does not trip.
-        let token = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!token.is_cancelled());
-        // The never token cannot trip at all, even after cancel().
-        let never = CancelToken::never();
-        never.cancel();
-        assert!(!never.is_cancelled());
+        let clone = token.clone();
+        assert!(!token.is_cancelled() && !clone.is_cancelled());
+        clone.cancel();
+        assert!(token.is_cancelled() && clone.is_cancelled());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! input order. A vehicle whose evaluation panics is captured as a
 //! [`FleetMember`] with an [`MlError::WorkerPanic`] outcome instead of
 //! aborting the whole fleet.
+//!
+//! [`evaluate_fleet`] is the one entry point. It takes the metrics
+//! [`Registry`] and the [`Tracer`] to record into; callers that want
+//! neither pass [`Registry::disabled`] and [`Tracer::disabled`].
 
 use vup_fleetsim::fleet::{Fleet, VehicleId};
 use vup_ml::instrument::MlTimers;
@@ -15,7 +19,7 @@ use vup_ml::MlError;
 use vup_obs::{FleetMonitor, Registry, SpanCtx, Tracer};
 
 use crate::config::PipelineConfig;
-use crate::evaluate::{evaluate_vehicle, VehicleEvaluation};
+use crate::evaluate::VehicleEvaluation;
 use crate::executor;
 use crate::view::VehicleView;
 
@@ -63,40 +67,18 @@ impl FleetEvaluation {
 /// identical `FleetEvaluation` regardless of thread scheduling. A panic
 /// inside one vehicle's evaluation becomes that vehicle's
 /// [`MlError::WorkerPanic`] outcome; the other vehicles are unaffected.
+///
+/// Observability goes to `registry` and `tracer`: executor worker stats
+/// under `pool="fleet_eval"`, model fits timed into `vup_ml_fit_nanos` /
+/// `vup_ml_predict_nanos`, per-vehicle outcomes counted in
+/// `vup_fleet_eval_vehicles_total{outcome=…}`, and an `evaluate_fleet`
+/// root span with one `evaluate_vehicle` child per vehicle (holding a
+/// `view_build` sub-span and the ML layer's `ml_fit` spans) plus one
+/// `executor_worker` span per worker. The returned
+/// [`executor::RunSummary`] holds the per-worker stats of this run. With
+/// [`Registry::disabled`] and [`Tracer::disabled`] nothing is recorded
+/// and no clock is read; the evaluation is bit-identical either way.
 pub fn evaluate_fleet(
-    fleet: &Fleet,
-    ids: &[VehicleId],
-    config: &PipelineConfig,
-    n_threads: usize,
-) -> FleetEvaluation {
-    evaluate_fleet_observed(fleet, ids, config, n_threads, &Registry::disabled()).0
-}
-
-/// [`evaluate_fleet`] with observability: executor worker stats are
-/// published under `pool="fleet_eval"`, model fits are timed into
-/// `vup_ml_fit_nanos` / `vup_ml_predict_nanos`, and per-vehicle outcomes
-/// are counted in `vup_fleet_eval_vehicles_total{outcome=…}`. The
-/// returned [`executor::RunSummary`] holds the per-worker stats of this
-/// run. With a disabled registry this is exactly [`evaluate_fleet`]: no
-/// clock reads, bit-identical results.
-pub fn evaluate_fleet_observed(
-    fleet: &Fleet,
-    ids: &[VehicleId],
-    config: &PipelineConfig,
-    n_threads: usize,
-    registry: &Registry,
-) -> (FleetEvaluation, executor::RunSummary) {
-    evaluate_fleet_traced(fleet, ids, config, n_threads, registry, &Tracer::disabled())
-}
-
-/// [`evaluate_fleet_observed`] with structured tracing: the whole run
-/// becomes an `evaluate_fleet` root span, each vehicle an
-/// `evaluate_vehicle` child (with a `view_build` sub-span and the ML
-/// layer's `ml_fit` spans nested under it), and each executor worker an
-/// `executor_worker` span. With a disabled tracer this is exactly
-/// [`evaluate_fleet_observed`] — no events, no clock reads, bit-identical
-/// results.
-pub fn evaluate_fleet_traced(
     fleet: &Fleet,
     ids: &[VehicleId],
     config: &PipelineConfig,
@@ -181,26 +163,8 @@ pub fn monitor_fleet_evaluation(
     }
 }
 
-/// [`evaluate_fleet`] dispatched on the pre-refactor mutex scheduler.
-///
-/// Retained only so `crates/bench/benches/fleet_parallel.rs` can compare
-/// scheduler overhead; use [`evaluate_fleet`] everywhere else.
-pub fn evaluate_fleet_mutex_baseline(
-    fleet: &Fleet,
-    ids: &[VehicleId],
-    config: &PipelineConfig,
-    n_threads: usize,
-) -> FleetEvaluation {
-    let results = executor::run_chunked_mutex_baseline(ids.len(), n_threads, 1, |i| {
-        let id = ids[i];
-        let view = VehicleView::build(fleet, id, config.scenario);
-        evaluate_vehicle(&view, config)
-    });
-    assemble(ids, results)
-}
-
-/// Evaluation core with an injectable per-vehicle function, used by the
-/// public entry points and by tests that need to inject failures. The
+/// Evaluation core with an injectable per-vehicle function, used by
+/// [`evaluate_fleet`] and by tests that need to inject failures. The
 /// `eval` callback receives the vehicle's `evaluate_vehicle` span context
 /// so nested work (model fits) lands under the right tree node.
 fn evaluate_fleet_with<F>(
@@ -216,27 +180,21 @@ where
     F: Fn(VehicleId, &VehicleView, &PipelineConfig, &SpanCtx) -> crate::Result<VehicleEvaluation>
         + Sync,
 {
-    let (results, summary) = executor::run_tasks_traced(
-        ids.len(),
-        n_threads,
-        |i| {
-            let id = ids[i];
-            let mut vehicle_span = parent.child("evaluate_vehicle");
-            vehicle_span.arg("vehicle", id.0);
-            let view = {
-                let _view_span = vehicle_span.child("view_build");
-                VehicleView::build(fleet, id, config.scenario)
-            };
-            let result = eval(id, &view, config, &vehicle_span.ctx());
-            if let Ok(eval) = &result {
-                vehicle_span.arg("points", eval.points.len());
-                vehicle_span.arg("retrains", eval.retrain_count);
-            }
-            result
-        },
-        metrics,
-        parent,
-    );
+    let (results, summary) = executor::run(ids.len(), n_threads, metrics, parent, |i| {
+        let id = ids[i];
+        let mut vehicle_span = parent.child("evaluate_vehicle");
+        vehicle_span.arg("vehicle", id.0);
+        let view = {
+            let _view_span = vehicle_span.child("view_build");
+            VehicleView::build(fleet, id, config.scenario)
+        };
+        let result = eval(id, &view, config, &vehicle_span.ctx());
+        if let Ok(eval) = &result {
+            vehicle_span.arg("points", eval.points.len());
+            vehicle_span.arg("retrains", eval.retrain_count);
+        }
+        result
+    });
     (assemble(ids, results), summary)
 }
 
@@ -282,6 +240,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::config::ModelSpec;
+    use crate::evaluate::evaluate_vehicle;
     use vup_fleetsim::fleet::FleetConfig;
     use vup_ml::baseline::BaselineSpec;
     use vup_ml::RegressorSpec;
@@ -306,6 +265,16 @@ mod tests {
             eval_tail: Some(60),
             ..PipelineConfig::default()
         }
+    }
+
+    fn untraced(
+        fleet: &Fleet,
+        ids: &[VehicleId],
+        config: &PipelineConfig,
+        n_threads: usize,
+    ) -> FleetEvaluation {
+        let (registry, tracer) = (Registry::disabled(), Tracer::disabled());
+        evaluate_fleet(fleet, ids, config, n_threads, &registry, &tracer).0
     }
 
     fn assert_identical(a: &FleetEvaluation, b: &FleetEvaluation, label: &str) {
@@ -340,10 +309,10 @@ mod tests {
 
         // Every thread count — including 0 = auto — and repeated runs at
         // the same count must produce bitwise-identical fleet results.
-        let reference = evaluate_fleet(&fleet, &ids, &cfg, 1);
+        let reference = untraced(&fleet, &ids, &cfg, 1);
         for threads in [1usize, 2, 4, 0] {
             for run in 0..2 {
-                let eval = evaluate_fleet(&fleet, &ids, &cfg, threads);
+                let eval = untraced(&fleet, &ids, &cfg, threads);
                 assert_identical(&reference, &eval, &format!("threads {threads}, run {run}"));
             }
         }
@@ -363,29 +332,19 @@ mod tests {
         let fleet = Fleet::generate(FleetConfig::small(12, 31));
         let ids: Vec<VehicleId> = (0..12).map(VehicleId).collect();
         let cfg = baseline_config();
-        let reference = evaluate_fleet(&fleet, &ids, &cfg, 1);
+        let reference = untraced(&fleet, &ids, &cfg, 1);
         for run in 0..50 {
             let threads = [1usize, 2, 4, 0][run % 4];
-            let eval = evaluate_fleet(&fleet, &ids, &cfg, threads);
+            let eval = untraced(&fleet, &ids, &cfg, threads);
             assert_identical(&reference, &eval, &format!("stress run {run}"));
         }
-    }
-
-    #[test]
-    fn mutex_baseline_agrees_with_lock_free_scheduler() {
-        let fleet = Fleet::generate(FleetConfig::small(6, 17));
-        let ids: Vec<VehicleId> = (0..6).map(VehicleId).collect();
-        let cfg = baseline_config();
-        let a = evaluate_fleet(&fleet, &ids, &cfg, 4);
-        let b = evaluate_fleet_mutex_baseline(&fleet, &ids, &cfg, 4);
-        assert_identical(&a, &b, "lock-free vs mutex baseline");
     }
 
     #[test]
     fn mean_pe_matches_distribution() {
         let fleet = Fleet::generate(FleetConfig::small(5, 7));
         let ids: Vec<VehicleId> = (0..5).map(VehicleId).collect();
-        let eval = evaluate_fleet(&fleet, &ids, &fast_config(), 0);
+        let eval = untraced(&fleet, &ids, &fast_config(), 0);
         let dist = eval.pe_distribution();
         assert_eq!(dist.len(), eval.evaluated);
         if !dist.is_empty() {
@@ -402,7 +361,7 @@ mod tests {
         let mut cfg = fast_config();
         // A window so large that no vehicle can be evaluated.
         cfg.train_window = 10_000;
-        let eval = evaluate_fleet(&fleet, &ids, &cfg, 2);
+        let eval = untraced(&fleet, &ids, &cfg, 2);
         assert_eq!(eval.evaluated, 0);
         assert_eq!(eval.skipped, 3);
         assert!(eval.mean_percentage_error.is_nan());
@@ -413,11 +372,10 @@ mod tests {
         let fleet = Fleet::generate(FleetConfig::small(5, 23));
         let ids: Vec<VehicleId> = (0..5).map(VehicleId).collect();
         let cfg = fast_config();
-        let reference = evaluate_fleet(&fleet, &ids, &cfg, 1);
+        let reference = untraced(&fleet, &ids, &cfg, 1);
 
         let tracer = Tracer::new();
-        let (traced, _) =
-            evaluate_fleet_traced(&fleet, &ids, &cfg, 2, &Registry::disabled(), &tracer);
+        let (traced, _) = evaluate_fleet(&fleet, &ids, &cfg, 2, &Registry::disabled(), &tracer);
         assert_identical(&reference, &traced, "traced vs plain");
 
         let snapshot = tracer.snapshot();
@@ -456,7 +414,7 @@ mod tests {
         let fleet = Fleet::generate(FleetConfig::small(6, 77));
         let ids: Vec<VehicleId> = (0..6).map(VehicleId).collect();
         let cfg = fast_config();
-        let evaluation = evaluate_fleet(&fleet, &ids, &cfg, 0);
+        let evaluation = untraced(&fleet, &ids, &cfg, 0);
         assert!(evaluation.evaluated > 0, "fixture must evaluate something");
 
         let monitor = FleetMonitor::new(vup_obs::MonitorConfig {

@@ -74,8 +74,8 @@ pub struct FittedPredictor {
     config: PipelineConfig,
     /// Timing hooks carried from fitting; predictions self-record their
     /// duration into `timers.predict_nanos`. No-op (and clock-free)
-    /// unless fitted through [`FittedPredictor::fit_observed`] with live
-    /// timers.
+    /// unless fitted through [`FittedPredictor::fit_arena_observed`] with
+    /// live timers.
     timers: MlTimers,
 }
 
@@ -90,30 +90,27 @@ impl FittedPredictor {
         train_from: usize,
         train_to: usize,
     ) -> crate::Result<FittedPredictor> {
-        Self::fit_observed(view, config, train_from, train_to, &MlTimers::disabled())
+        Self::fit_arena_observed(
+            view,
+            config,
+            train_from,
+            train_to,
+            &MlTimers::disabled(),
+            &mut TrainArena::new(),
+        )
     }
 
-    /// [`FittedPredictor::fit`] with timing: the whole fit is recorded
-    /// into `timers.fit_nanos`, and the returned predictor keeps a clone
-    /// of `timers` so each later [`predict`](FittedPredictor::predict)
-    /// records into `timers.predict_nanos`. Timing never changes what is
-    /// fitted or predicted.
-    pub fn fit_observed(
-        view: &VehicleView,
-        config: &PipelineConfig,
-        train_from: usize,
-        train_to: usize,
-        timers: &MlTimers,
-    ) -> crate::Result<FittedPredictor> {
-        let mut arena = TrainArena::new();
-        Self::fit_arena_observed(view, config, train_from, train_to, timers, &mut arena)
-    }
-
-    /// [`FittedPredictor::fit_observed`] building the design matrix
-    /// through a caller-owned [`TrainArena`], so a sequence of retrain
-    /// episodes for the *same vehicle stream* reuses buffers and the
-    /// overlapping window rows. The arena never changes what is fitted —
-    /// results are bit-identical to [`FittedPredictor::fit`].
+    /// [`FittedPredictor::fit`] with timing, building the design matrix
+    /// through a caller-owned [`TrainArena`]. The whole fit is recorded
+    /// into `timers.fit_nanos` under an `ml_fit` span, and the returned
+    /// predictor keeps a clone of `timers` so each later
+    /// [`predict`](FittedPredictor::predict) records into
+    /// `timers.predict_nanos`. A sequence of retrain episodes for the
+    /// *same vehicle stream* can share one arena to reuse buffers and the
+    /// overlapping window rows; a one-off fit passes a fresh
+    /// `TrainArena::new()`. Neither the arena nor the timing ever changes
+    /// what is fitted or predicted — results are bit-identical to
+    /// [`FittedPredictor::fit`].
     pub fn fit_arena_observed(
         view: &VehicleView,
         config: &PipelineConfig,
@@ -320,15 +317,8 @@ impl SavedPredictor {
     /// Rebuilds the live predictor.
     ///
     /// The restored predictor carries disabled timers: snapshots hold
-    /// model state, not observability wiring. Use
-    /// [`SavedPredictor::restore_observed`] to attach live timers.
+    /// model state, not observability wiring.
     pub fn restore(self) -> FittedPredictor {
-        self.restore_observed(&MlTimers::disabled())
-    }
-
-    /// [`SavedPredictor::restore`] with timing hooks, mirroring
-    /// [`FittedPredictor::fit_observed`].
-    pub fn restore_observed(self, timers: &MlTimers) -> FittedPredictor {
         let kind = match self.kind {
             SavedPredictorKind::Baseline(spec) => FittedKind::Baseline(spec),
             SavedPredictorKind::Learned { scaler, model } => FittedKind::Learned {
@@ -340,7 +330,7 @@ impl SavedPredictor {
             kind,
             lags: self.lags,
             config: self.config,
-            timers: timers.clone(),
+            timers: MlTimers::disabled(),
         }
     }
 }
@@ -444,7 +434,9 @@ mod tests {
         let timers = MlTimers::register(&registry);
 
         let plain = FittedPredictor::fit(&v, &cfg, 0, 140).unwrap();
-        let observed = FittedPredictor::fit_observed(&v, &cfg, 0, 140, &timers).unwrap();
+        let observed =
+            FittedPredictor::fit_arena_observed(&v, &cfg, 0, 140, &timers, &mut TrainArena::new())
+                .unwrap();
         assert_eq!(timers.fit_nanos.count(), 1);
 
         let a = plain.predict(&v, 150).unwrap();
@@ -488,21 +480,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn restore_observed_attaches_timers_without_changing_results() {
-        let v = view();
-        let cfg = config_with(ModelSpec::Learned(RegressorSpec::Linear));
-        let fitted = FittedPredictor::fit(&v, &cfg, 0, 140).unwrap();
-        let registry = vup_obs::Registry::new();
-        let timers = MlTimers::register(&registry);
-        let restored = fitted.save().restore_observed(&timers);
-        assert_eq!(
-            restored.predict(&v, 150).unwrap().to_bits(),
-            fitted.predict(&v, 150).unwrap().to_bits()
-        );
-        assert_eq!(timers.predict_nanos.count(), 1);
     }
 
     #[test]

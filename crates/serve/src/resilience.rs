@@ -6,9 +6,7 @@
 //! injected slow-stage delay accrues as virtual nanoseconds charged
 //! against the request's deadline budget instead of sleeping, so chaos
 //! tests run at full speed and behave identically at every thread count.
-//! The only wall-clock cancellation in the stack lives one layer down, in
-//! `vup_core::executor::CancelToken`, and is never used on the
-//! deterministic test path.
+//! Nothing on the serve path cancels work by wall clock.
 //!
 //! The [`CircuitBreaker`] is a pure state machine — no clocks, no
 //! metrics, no I/O — driven entirely by the service's coordinating

@@ -20,9 +20,12 @@
 //! virtual-nanosecond deadline budget, and a per-vehicle
 //! [`CircuitBreaker`] that sheds a repeatedly failing primary. When the
 //! primary path fails terminally (or the breaker rejects it), the
-//! serde-saved baseline fallback fits on the same view and serves a
+//! configured baseline fallback fits on the same view and serves a
 //! [`ServePath::Degraded`] forecast; only when no fallback is configured
 //! (or it fails too) does the request end as [`ServeOutcome::Failed`].
+//! [`PredictionService::serve_degraded`] takes the same fallback step for
+//! a whole request slice, which is how a shard coordinator answers for a
+//! shard that did not.
 //! A panic while training is captured by the executor and handled like
 //! any other failed attempt; a panic while serving surfaces as that
 //! request's [`ServeOutcome::Failed`]. The rest of the batch is
@@ -537,10 +540,6 @@ pub struct PredictionService<'f> {
     executor_metrics: executor::ExecutorMetrics,
     tracer: Tracer,
     resilience: ResilienceConfig,
-    /// The fallback spec as serialized at configuration time; parsed
-    /// back on every degradation, so what serves degraded requests is
-    /// provably the *saved* predictor.
-    fallback_json: Option<String>,
     faults: FaultInjector,
     breaker: CircuitBreaker,
     /// Monotone batch index — the breaker's and fault injector's notion
@@ -593,7 +592,6 @@ impl<'f> PredictionService<'f> {
             executor_metrics: executor::ExecutorMetrics::register(registry, "serve"),
             tracer: Tracer::disabled(),
             resilience: ResilienceConfig::default(),
-            fallback_json: None,
             faults: FaultInjector::default(),
             breaker: CircuitBreaker::default(),
             batch_counter: AtomicU64::new(0),
@@ -607,13 +605,9 @@ impl<'f> PredictionService<'f> {
     /// virtual-nanosecond deadline budget, a per-vehicle circuit
     /// breaker, and a baseline fallback that serves
     /// [`ServePath::Degraded`] forecasts when the primary path fails.
-    /// The fallback spec is serialized here and re-parsed at degradation
-    /// time (the saved-predictor contract). The default config
-    /// reproduces the legacy single-attempt behaviour exactly.
+    /// The default config reproduces the legacy single-attempt
+    /// behaviour exactly.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> PredictionService<'f> {
-        self.fallback_json = resilience
-            .fallback
-            .map(|spec| serde_json::to_string(&spec).expect("fallback spec serializes"));
         self.breaker = CircuitBreaker::new(resilience.breaker);
         self.resilience = resilience;
         self
@@ -700,21 +694,59 @@ impl<'f> PredictionService<'f> {
         batch_span.arg("requests", requests.len());
         batch_span.arg("batch", batch);
 
+        let prepared = self.prepare(
+            &distinct_vehicles(requests),
+            as_of,
+            &batch_span.ctx(),
+            batch,
+        );
+        let outcomes = self.serve_prepared(requests, &prepared, &batch_span.ctx());
+
+        // One counting pass on the coordinating thread; every request
+        // lands in exactly one outcome series, so the five series sum to
+        // the request count.
+        let (mut served, mut retrained, mut degraded, mut skipped, mut failed) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        for outcome in &outcomes {
+            match outcome {
+                ServeOutcome::Served(_) => served += 1,
+                ServeOutcome::RetrainedThenServed(_) => retrained += 1,
+                ServeOutcome::Degraded(_) => degraded += 1,
+                ServeOutcome::Skipped { .. } => skipped += 1,
+                ServeOutcome::Failed { .. } => failed += 1,
+            }
+        }
+        self.metrics.served.add(served);
+        self.metrics.retrained.add(retrained);
+        self.metrics.degraded.add(degraded);
+        self.metrics.skipped.add(skipped);
+        self.metrics.failed.add(failed);
+        batch_span.arg("served", served);
+        batch_span.arg("retrained", retrained);
+        batch_span.arg("degraded", degraded);
+        batch_span.arg("skipped", skipped);
+        batch_span.arg("failed", failed);
+        outcomes
+    }
+
+    /// Phase 2: serves every request from the prepared snapshots under a
+    /// `serve` span, in request order. A panicking request becomes that
+    /// request's [`ServeOutcome::Failed`].
+    fn serve_prepared(
+        &self,
+        requests: &[BatchRequest],
+        prepared: &HashMap<VehicleId, Prepared>,
+        parent: &SpanCtx,
+    ) -> Vec<ServeOutcome> {
         let fingerprint = ModelStore::fingerprint(&self.config);
         let config_label = self.config.model.label();
-
-        let mut vehicles: Vec<VehicleId> = requests.iter().map(|r| r.vehicle_id).collect();
-        vehicles.sort_unstable();
-        vehicles.dedup();
-
-        let prepared = self.prepare(&vehicles, as_of, &batch_span.ctx(), batch);
-
-        // Phase 2: serve every request from the prepared snapshots.
-        let serve_span = batch_span.child("serve");
+        let serve_span = parent.child("serve");
         let serve_ctx = serve_span.ctx();
-        let (outcomes, _) = executor::run_tasks_traced(
+        let (outcomes, _) = executor::run(
             requests.len(),
             self.n_threads,
+            &self.executor_metrics,
+            &serve_ctx,
             |i| {
                 let request = &requests[i];
                 let id = request.vehicle_id.0;
@@ -836,12 +868,10 @@ impl<'f> PredictionService<'f> {
                     None => unreachable!("every request vehicle was prepared"),
                 }
             },
-            &self.executor_metrics,
-            &serve_ctx,
         );
         drop(serve_span);
 
-        let outcomes: Vec<ServeOutcome> = outcomes
+        outcomes
             .into_iter()
             .zip(requests)
             .map(|(result, request)| {
@@ -861,33 +891,107 @@ impl<'f> PredictionService<'f> {
                     }
                 })
             })
-            .collect();
+            .collect()
+    }
 
-        // One counting pass on the coordinating thread; every request
-        // lands in exactly one outcome series, so the five series sum to
-        // the request count.
-        let (mut served, mut retrained, mut degraded, mut skipped, mut failed) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for outcome in &outcomes {
-            match outcome {
-                ServeOutcome::Served(_) => served += 1,
-                ServeOutcome::RetrainedThenServed(_) => retrained += 1,
-                ServeOutcome::Degraded(_) => degraded += 1,
-                ServeOutcome::Skipped { .. } => skipped += 1,
-                ServeOutcome::Failed { .. } => failed += 1,
-            }
-        }
-        self.metrics.served.add(served);
-        self.metrics.retrained.add(retrained);
-        self.metrics.degraded.add(degraded);
-        self.metrics.skipped.add(skipped);
-        self.metrics.failed.add(failed);
-        batch_span.arg("served", served);
-        batch_span.arg("retrained", retrained);
-        batch_span.arg("degraded", degraded);
-        batch_span.arg("skipped", skipped);
-        batch_span.arg("failed", failed);
-        outcomes
+    /// Serves `requests` on the `fallback` baseline without consulting
+    /// the primary model, the store or the circuit breaker: each known
+    /// vehicle gets one `fallback_fit` (the same `degrade` step a
+    /// failed primary takes inside a batch) and every request on it is
+    /// answered [`ServeOutcome::Degraded`] with `reason` in its
+    /// provenance. Unknown vehicles and zero horizons are skipped as in
+    /// [`PredictionService::serve_batch`].
+    ///
+    /// A shard coordinator calls this on a shard that died, stalled or
+    /// refused, so its vehicles are still answered. The requests are not
+    /// counted in `vup_serve_requests_total` or
+    /// `vup_serve_outcomes_total`: a stalled shard has already counted
+    /// them in its own late `serve_batch`.
+    pub fn serve_degraded(
+        &self,
+        requests: &[BatchRequest],
+        as_of: Option<usize>,
+        reason: &str,
+        fallback: BaselineSpec,
+    ) -> Vec<ServeOutcome> {
+        let mut span = self.tracer.root("serve_degraded");
+        span.arg("requests", requests.len());
+        let ctx = span.ctx();
+        let vehicles = distinct_vehicles(requests);
+        let views = self.resolve_views(&vehicles, as_of, &ctx);
+        let prepared: HashMap<VehicleId, Prepared> = vehicles
+            .into_iter()
+            .zip(views)
+            .map(|(id, resolved)| {
+                let entry = match resolved {
+                    Ok((view, view_nanos)) => self.degrade(
+                        view,
+                        reason.to_string(),
+                        view_nanos,
+                        0,
+                        Some(fallback),
+                        &ctx,
+                    ),
+                    Err(invalid) => invalid,
+                };
+                (id, entry)
+            })
+            .collect();
+        self.serve_prepared(requests, &prepared, &ctx)
+    }
+
+    /// Resolves the views of `vehicles` in parallel (the expensive part
+    /// of a cache hit when the source cannot be memoized), truncated to
+    /// `as_of`, each with its `view_build` nanos. A vehicle that is not
+    /// in the fleet, or whose view build panicked, comes back as its
+    /// [`Prepared::Invalid`] entry. The `view_build` span is emitted —
+    /// with the same byte weight — on memoized resolutions too, so
+    /// profile shapes and counts are independent of the cache's warmth.
+    fn resolve_views(
+        &self,
+        vehicles: &[VehicleId],
+        as_of: Option<usize>,
+        parent: &SpanCtx,
+    ) -> Vec<Result<(Arc<VehicleView>, u64), Prepared>> {
+        let (views, _) = executor::run(
+            vehicles.len(),
+            self.n_threads,
+            &self.executor_metrics,
+            parent,
+            |i| {
+                let id = vehicles[i];
+                let mut span = parent.child("view_build");
+                span.arg("vehicle", id.0);
+                let timer = self.metrics.stage_view.start_timer();
+                let view = self.resolve_view(id).map(|full| match as_of {
+                    Some(n) => Arc::new(full.truncated(n)),
+                    None => full,
+                });
+                if let Some(view) = &view {
+                    // Wall-free workload weight for the profile layer:
+                    // slots materialized, in bytes.
+                    span.add_bytes(
+                        (view.len() * std::mem::size_of::<vup_core::view::Slot>()) as u64,
+                    );
+                }
+                (view, timer.stop())
+            },
+        );
+        vehicles
+            .iter()
+            .zip(views)
+            .map(|(id, result)| match result {
+                Ok((Some(view), view_nanos)) => Ok((view, view_nanos)),
+                Ok((None, view_nanos)) => Err(Prepared::Invalid {
+                    reason: format!("vehicle {} not in fleet", id.0),
+                    view_nanos,
+                }),
+                Err(message) => Err(Prepared::Invalid {
+                    reason: format!("worker panicked: {message}"),
+                    view_nanos: 0,
+                }),
+            })
+            .collect()
     }
 
     /// Phase 1: builds views for the distinct vehicles, reuses fresh
@@ -914,35 +1018,8 @@ impl<'f> PredictionService<'f> {
             }
         }
 
-        // 1a: resolve the scenario views in parallel (the expensive part
-        // of a cache hit when the source cannot be memoized). The
-        // `view_build` span is emitted — with the same byte weight — on
-        // memoized resolutions too, so profile shapes and counts are
-        // independent of the cache's warmth.
-        let (views, _) = executor::run_tasks_traced(
-            vehicles.len(),
-            self.n_threads,
-            |i| {
-                let id = vehicles[i];
-                let mut span = prepare_ctx.child("view_build");
-                span.arg("vehicle", id.0);
-                let timer = self.metrics.stage_view.start_timer();
-                let view = self.resolve_view(id).map(|full| match as_of {
-                    Some(n) => Arc::new(full.truncated(n)),
-                    None => full,
-                });
-                if let Some(view) = &view {
-                    // Wall-free workload weight for the profile layer:
-                    // slots materialized, in bytes.
-                    span.add_bytes(
-                        (view.len() * std::mem::size_of::<vup_core::view::Slot>()) as u64,
-                    );
-                }
-                (view, timer.stop())
-            },
-            &self.executor_metrics,
-            &prepare_ctx,
-        );
+        // 1a: resolve the scenario views in parallel.
+        let views = self.resolve_views(vehicles, as_of, &prepare_ctx);
 
         // 1b: consult the cache and the circuit breaker on the
         // coordinating thread, in vehicle-sorted order, so the breaker's
@@ -950,9 +1027,9 @@ impl<'f> PredictionService<'f> {
         // lookup keeps the miss cause (absent vs stale) for provenance.
         let mut prepared: HashMap<VehicleId, Prepared> = HashMap::with_capacity(vehicles.len());
         let mut to_train: Vec<(VehicleId, Arc<VehicleView>, u64, ServePath)> = Vec::new();
-        for (&id, result) in vehicles.iter().zip(views) {
-            match result {
-                Ok((Some(view), view_nanos)) => {
+        for (&id, resolved) in vehicles.iter().zip(views) {
+            match resolved {
+                Ok((view, view_nanos)) => {
                     let now = view.len();
                     match self.store.lookup(id, &self.config, now) {
                         Lookup::Hit(model) => {
@@ -981,11 +1058,11 @@ impl<'f> PredictionService<'f> {
                             if decision == BreakerDecision::Reject {
                                 self.metrics.breaker_rejections.inc();
                                 let entry = self.degrade(
-                                    id,
                                     view,
                                     format!("circuit breaker open for vehicle {}", id.0),
                                     view_nanos,
                                     0,
+                                    self.resilience.fallback,
                                     &prepare_ctx,
                                 );
                                 prepared.insert(id, entry);
@@ -995,23 +1072,8 @@ impl<'f> PredictionService<'f> {
                         }
                     }
                 }
-                Ok((None, view_nanos)) => {
-                    prepared.insert(
-                        id,
-                        Prepared::Invalid {
-                            reason: format!("vehicle {} not in fleet", id.0),
-                            view_nanos,
-                        },
-                    );
-                }
-                Err(message) => {
-                    prepared.insert(
-                        id,
-                        Prepared::Invalid {
-                            reason: format!("worker panicked: {message}"),
-                            view_nanos: 0,
-                        },
-                    );
+                Err(invalid) => {
+                    prepared.insert(id, invalid);
                 }
             }
         }
@@ -1019,9 +1081,11 @@ impl<'f> PredictionService<'f> {
         // 1c: (re)train the misses in parallel, one retrying fit
         // episode per vehicle.
         let retrains = to_train.len();
-        let (trained, _) = executor::run_tasks_traced(
+        let (trained, _) = executor::run(
             to_train.len(),
             self.n_threads,
+            &self.executor_metrics,
+            &prepare_ctx,
             |i| {
                 let (id, view, _, _) = &to_train[i];
                 let mut span = prepare_ctx.child("fit");
@@ -1031,8 +1095,6 @@ impl<'f> PredictionService<'f> {
                 let episode = self.fit_episode(view, id.0, batch, &timers);
                 (episode, timer.stop())
             },
-            &self.executor_metrics,
-            &prepare_ctx,
         );
 
         // 1d: publish episode outcomes (store inserts, breaker records,
@@ -1261,44 +1323,56 @@ impl<'f> PredictionService<'f> {
         if let Some(t) = self.breaker.record(id.0, batch, false) {
             self.publish_transition(t, ctx);
         }
-        self.degrade(id, view, error, view_nanos, fit_nanos, ctx)
+        self.degrade(
+            view,
+            error,
+            view_nanos,
+            fit_nanos,
+            self.resilience.fallback,
+            ctx,
+        )
     }
 
-    /// Fits the serde-saved fallback baseline (if one is configured) on
-    /// the same view and readies it under [`ServePath::Degraded`]. The
-    /// fallback model is deliberately *not* inserted into the store: the
-    /// next batch retries the primary. Coordinator-thread only.
+    /// Fits the `fallback` baseline on the vehicle's view and readies it
+    /// under [`ServePath::Degraded`] with `reason`, under a
+    /// `fallback_fit` span timed into the service's [`MlTimers`]. With no
+    /// fallback the vehicle fails with `reason`. The fallback model is
+    /// deliberately *not* inserted into the store: the next batch retries
+    /// the primary. Coordinator-thread only.
     fn degrade(
         &self,
-        id: VehicleId,
         view: Arc<VehicleView>,
         reason: String,
         view_nanos: u64,
         fit_nanos: u64,
+        fallback: Option<BaselineSpec>,
         ctx: &SpanCtx,
     ) -> Prepared {
-        let Some(json) = &self.fallback_json else {
+        let Some(spec) = fallback else {
             return Prepared::Failed {
                 reason,
                 view_nanos,
                 fit_nanos,
             };
         };
-        let spec: BaselineSpec = serde_json::from_str(json).expect("saved fallback spec parses");
         let mut fallback = self.config.clone();
         fallback.model = ModelSpec::Baseline(spec);
         let now = view.len();
         // Unlike the primary, the fallback window clamps instead of
         // erroring on short series — degradation should absorb exactly
         // the failures the primary cannot.
-        let train_from = match fallback.strategy {
-            Strategy::Sliding => now.saturating_sub(fallback.train_window),
-            Strategy::Expanding => 0,
-        };
+        let train_from = self.train_window_start(now);
         let mut span = ctx.child("fallback_fit");
-        span.arg("vehicle", id.0);
+        span.arg("vehicle", view.vehicle_id.0);
         let timers = self.ml_timers.for_span(&span.ctx());
-        match FittedPredictor::fit_observed(&view, &fallback, train_from, now, &timers) {
+        match FittedPredictor::fit_arena_observed(
+            &view,
+            &fallback,
+            train_from,
+            now,
+            &timers,
+            &mut vup_ml::TrainArena::new(),
+        ) {
             Ok(predictor) => Prepared::Ready {
                 view,
                 model: Arc::new(StoredModel {
@@ -1407,6 +1481,14 @@ impl<'f> PredictionService<'f> {
             Strategy::Expanding => 0,
         }
     }
+}
+
+/// The distinct vehicles of a batch, sorted by id.
+fn distinct_vehicles(requests: &[BatchRequest]) -> Vec<VehicleId> {
+    let mut vehicles: Vec<VehicleId> = requests.iter().map(|r| r.vehicle_id).collect();
+    vehicles.sort_unstable();
+    vehicles.dedup();
+    vehicles
 }
 
 /// Truncates `text` to at most `max_chars` characters, replacing the

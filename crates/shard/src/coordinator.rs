@@ -15,12 +15,14 @@
 //! **Supervision.** Shard fates come from the same seeded fault plan
 //! as everything else ([`FaultInjector::shard_fate`]):
 //!
-//! - **Die** — the shard is lost mid-batch: none of its sub-batch is
-//!   served by it; the supervisor marks every vehicle of the sub-batch
-//!   [`Degraded`](vup_serve::ServePath::Degraded) (served by the
-//!   coordinator-side fallback baseline), then restarts the shard warm
-//!   from its snapshot directory. The restart's [`RecoveryStats`]
-//!   surface in the shard report and in the next merged journal.
+//! - **Die** — the shard is lost mid-batch: its primary path never
+//!   runs; every vehicle of the sub-batch is served
+//!   [`Degraded`](vup_serve::ServePath::Degraded) through the shard
+//!   service's own fallback step
+//!   ([`PredictionService::serve_degraded`]), then the supervisor
+//!   restarts the shard warm from its snapshot directory. The restart's
+//!   [`RecoveryStats`] surface in the shard report and in the next
+//!   merged journal.
 //! - **Stall** — the shard finishes *after* the batch deadline: its
 //!   results are discarded (the sub-batch degrades like above) but its
 //!   side effects — trained models, written snapshots — stick.
@@ -34,19 +36,14 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use vup_core::{
-    forecast::forecast_horizon, FittedPredictor, ModelSpec, PipelineConfig, Strategy, VehicleView,
-};
+use vup_core::PipelineConfig;
 use vup_fleetsim::Fleet;
 use vup_ml::baseline::BaselineSpec;
-use vup_ml::instrument::MlTimers;
 use vup_obs::{Counter, FleetMonitor, MonitorConfig, Registry, Tracer, VehicleHealth};
 use vup_serve::{
-    BatchRequest, DiskBackend, FaultInjector, FaultPlan, Forecast, ModelStore, PredictionService,
-    Provenance, RecoveryStats, ResilienceConfig, ServeJournal, ServeOutcome, ServePath, ShardFate,
-    StageNanos,
+    BatchRequest, DiskBackend, FaultInjector, FaultPlan, ModelStore, PredictionService,
+    RecoveryStats, ResilienceConfig, ServeJournal, ServeOutcome, ServePath, ShardFate,
 };
 
 use crate::partition::Partitioner;
@@ -175,11 +172,10 @@ pub struct ShardedService<'f> {
     slots: Vec<ShardSlot<'f>>,
     /// Coordinator batch counter — the shard-fate notion of time.
     batch: u64,
-    /// Serialized fallback spec for coordinator-side degraded serving
-    /// (mirrors the in-shard saved-predictor contract); defaults to
-    /// last-value when the resilience profile has no fallback, because
-    /// a dead shard must still answer.
-    fallback_json: String,
+    /// Baseline that answers for a dead, stalled or refusing shard: the
+    /// resilience profile's fallback, or last-value when it has none,
+    /// because such a shard must still answer.
+    fallback: BaselineSpec,
 }
 
 impl<'f> ShardedService<'f> {
@@ -193,12 +189,10 @@ impl<'f> ShardedService<'f> {
         tracer: &Tracer,
     ) -> io::Result<ShardedService<'f>> {
         assert!(options.shards > 0, "at least one shard");
-        let fallback_spec = options
+        let fallback = options
             .resilience
             .fallback
             .unwrap_or(BaselineSpec::LastValue);
-        let fallback_json =
-            serde_json::to_string(&fallback_spec).expect("fallback spec serializes");
         let mut service = ShardedService {
             fleet,
             config,
@@ -208,7 +202,7 @@ impl<'f> ShardedService<'f> {
             tracer: tracer.clone(),
             slots: Vec::with_capacity(options.shards as usize),
             batch: 0,
-            fallback_json,
+            fallback,
             options,
         };
         for shard in 0..service.options.shards {
@@ -328,35 +322,30 @@ impl<'f> ShardedService<'f> {
             let slot = &self.slots[shard as usize];
             slot.metrics.requests.add(sub.len() as u64);
             let sub_requests: Vec<BatchRequest> = sub.iter().map(|(_, r)| *r).collect();
-            let shard_outcomes: Vec<ServeOutcome> = match fate {
-                ShardFate::Healthy => slot.service.serve_batch(&sub_requests, as_of),
+            let degraded_reason = match fate {
+                ShardFate::Healthy => None,
                 ShardFate::Stall => {
                     // The shard does the work — models train, snapshots
                     // persist — but past the deadline, so its answers
-                    // are discarded and the coordinator serves stale.
+                    // are discarded and the sub-batch degrades.
                     slot.metrics.stalls.inc();
                     let _ = slot.service.serve_batch(&sub_requests, as_of);
-                    let reason = format!("shard {shard} stalled past the batch deadline");
-                    sub_requests
-                        .iter()
-                        .map(|r| self.degrade_request(r, as_of, &reason))
-                        .collect()
+                    Some(format!("shard {shard} stalled past the batch deadline"))
                 }
                 ShardFate::Refuse => {
                     slot.metrics.refusals.inc();
-                    let reason = format!("shard {shard} refused the batch");
-                    sub_requests
-                        .iter()
-                        .map(|r| self.degrade_request(r, as_of, &reason))
-                        .collect()
+                    Some(format!("shard {shard} refused the batch"))
                 }
                 ShardFate::Die => {
                     slot.metrics.deaths.inc();
-                    let reason = format!("shard {shard} died mid-batch");
-                    sub_requests
-                        .iter()
-                        .map(|r| self.degrade_request(r, as_of, &reason))
-                        .collect()
+                    Some(format!("shard {shard} died mid-batch"))
+                }
+            };
+            let shard_outcomes = match degraded_reason {
+                None => slot.service.serve_batch(&sub_requests, as_of),
+                Some(reason) => {
+                    slot.service
+                        .serve_degraded(&sub_requests, as_of, &reason, self.fallback)
                 }
             };
             // Serve-quality monitor: 1 when the fallback (or nothing)
@@ -416,128 +405,12 @@ impl<'f> ShardedService<'f> {
             reports,
         }
     }
-
-    /// Coordinator-side degraded serve: fits the saved fallback
-    /// baseline on the vehicle's own view, exactly like a shard's
-    /// in-service degradation would, and never touches any store — the
-    /// restarted shard retries its primary next batch.
-    fn degrade_request(
-        &self,
-        request: &BatchRequest,
-        as_of: Option<usize>,
-        reason: &str,
-    ) -> ServeOutcome {
-        let fingerprint = ModelStore::fingerprint(&self.config);
-        let label = self.config.model.label();
-        let id = request.vehicle_id.0;
-        if request.horizon == 0 {
-            let why = "horizon must be at least 1".to_string();
-            return ServeOutcome::Skipped {
-                vehicle_id: id,
-                reason: why.clone(),
-                provenance: failed_record(id, 0, fingerprint, label, why),
-            };
-        }
-        if self.fleet.vehicle(request.vehicle_id).is_none() {
-            let why = format!("unknown vehicle {id}");
-            return ServeOutcome::Skipped {
-                vehicle_id: id,
-                reason: why.clone(),
-                provenance: failed_record(id, request.horizon, fingerprint, label, why),
-            };
-        }
-        let full = VehicleView::build(self.fleet, request.vehicle_id, self.config.scenario);
-        let view = match as_of {
-            Some(n) => Arc::new(full.truncated(n)),
-            None => Arc::new(full),
-        };
-        let spec: BaselineSpec =
-            serde_json::from_str(&self.fallback_json).expect("saved fallback spec parses");
-        let mut fallback = self.config.clone();
-        fallback.model = ModelSpec::Baseline(spec);
-        let now = view.len();
-        // Clamp instead of erroring on short series, mirroring the
-        // in-shard degradation path.
-        let train_from = match fallback.strategy {
-            Strategy::Sliding => now.saturating_sub(fallback.train_window),
-            Strategy::Expanding => 0,
-        };
-        let fitted = match FittedPredictor::fit_observed(
-            &view,
-            &fallback,
-            train_from,
-            now,
-            &MlTimers::disabled(),
-        ) {
-            Ok(fitted) => fitted,
-            Err(e) => {
-                let why = format!("{reason}; fallback fit failed: {e}");
-                return ServeOutcome::Failed {
-                    vehicle_id: id,
-                    error: why.clone(),
-                    provenance: failed_record(id, request.horizon, fingerprint, label, why),
-                };
-            }
-        };
-        match forecast_horizon(&fitted, &view, self.fleet, request.horizon) {
-            Ok(hours) => {
-                let provenance = Provenance {
-                    vehicle_id: id,
-                    horizon: request.horizon,
-                    config_fingerprint: fingerprint,
-                    model_label: label.to_string(),
-                    path: ServePath::Degraded,
-                    trained_at: Some(now),
-                    train_from: Some(train_from),
-                    selected_lags: Vec::new(),
-                    reason: Some(reason.to_string()),
-                    stage_nanos: StageNanos::default(),
-                };
-                ServeOutcome::Degraded(Forecast {
-                    vehicle_id: id,
-                    horizon: request.horizon,
-                    hours,
-                    trained_at: now,
-                    provenance,
-                })
-            }
-            Err(e) => {
-                let why = format!("{reason}; fallback predict failed: {e}");
-                ServeOutcome::Failed {
-                    vehicle_id: id,
-                    error: why.clone(),
-                    provenance: failed_record(id, request.horizon, fingerprint, label, why),
-                }
-            }
-        }
-    }
-}
-
-/// A [`ServePath::Failed`] provenance record.
-fn failed_record(
-    vehicle_id: u32,
-    horizon: usize,
-    config_fingerprint: u64,
-    model_label: &str,
-    reason: String,
-) -> Provenance {
-    Provenance {
-        vehicle_id,
-        horizon,
-        config_fingerprint,
-        model_label: model_label.to_string(),
-        path: ServePath::Failed,
-        trained_at: None,
-        train_from: None,
-        selected_lags: Vec::new(),
-        reason: Some(reason),
-        stage_nanos: StageNanos::default(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vup_core::ModelSpec;
     use vup_fleetsim::FleetConfig;
 
     fn baseline_config() -> PipelineConfig {
@@ -627,6 +500,36 @@ mod tests {
             assert!(!report.restarted, "refusal self-heals without restart");
         }
         assert_eq!(sharded.supervision(), vec![(0, 0); 3]);
+    }
+
+    #[test]
+    fn a_stalled_shard_counts_its_requests_once() {
+        let fleet = Fleet::generate(FleetConfig::small(12, 7));
+        let mut options = ShardOptions::new(2);
+        options.faults.shards = Some(vup_serve::ShardFaultPlan {
+            stall_rate: 1.0,
+            ..vup_serve::ShardFaultPlan::default()
+        });
+        let registry = Registry::new();
+        let mut sharded = ShardedService::build(
+            &fleet,
+            baseline_config(),
+            options,
+            &registry,
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        let merged = sharded.serve_batch(&requests(12, 2), Some(400));
+        assert!(merged.outcomes.iter().all(ServeOutcome::is_degraded));
+        // The late serve_batch counted each request; the degraded answer
+        // that replaced it did not count it again.
+        assert_eq!(registry.counter("vup_serve_requests_total").get(), 12);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter_total("vup_serve_outcomes_total"),
+            12
+        );
     }
 
     #[test]

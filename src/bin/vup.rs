@@ -19,9 +19,7 @@ use std::process::ExitCode;
 
 use vehicle_usage_prediction::bench::perf::{self, BenchFile, BenchOptions};
 use vehicle_usage_prediction::core::evaluate::evaluate_vehicle;
-use vehicle_usage_prediction::core::fleet_eval::{
-    evaluate_fleet_observed, evaluate_fleet_traced, monitor_fleet_evaluation,
-};
+use vehicle_usage_prediction::core::fleet_eval::{evaluate_fleet, monitor_fleet_evaluation};
 use vehicle_usage_prediction::core::levels::{compare_level_predictors, UsageLevel};
 use vehicle_usage_prediction::dataprep::{describe, pipeline};
 use vehicle_usage_prediction::fleetsim::RosterStream;
@@ -466,7 +464,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     } else {
         Tracer::disabled()
     };
-    let (eval, _) = evaluate_fleet_traced(&fleet, &ids, &config, 0, &registry, &tracer);
+    let (eval, _) = evaluate_fleet(&fleet, &ids, &config, 0, &registry, &tracer);
     for m in &eval.members {
         match &m.outcome {
             Ok(e) => println!(
@@ -615,7 +613,7 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
         monitor_config.baseline_window
     );
 
-    let (eval, _) = evaluate_fleet_observed(&fleet, &ids, &config, 0, &registry);
+    let (eval, _) = evaluate_fleet(&fleet, &ids, &config, 0, &registry, &Tracer::disabled());
     let monitor = FleetMonitor::observed(&registry, monitor_config);
     monitor_fleet_evaluation(&eval, &fleet, &config, &monitor);
     let reports = monitor.health();

@@ -18,8 +18,7 @@
 //!   segment.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
 use vehicle_usage_prediction::core::window::{build_dataset, build_dataset_arena};
 use vehicle_usage_prediction::fleetsim::dropout::DropoutConfig;
@@ -31,14 +30,26 @@ use vehicle_usage_prediction::serve::PredictionService;
 
 use proptest::prelude::*;
 
-/// `System`, with a relaxed counter on every allocation entry point.
+/// `System`, with a per-thread counter on every allocation entry point.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counted per thread so that other
+    /// threads of the test harness (or concurrently running tests) never
+    /// land in a measured window; every metered call below runs on the
+    /// calling thread (`n_threads = 1`, synchronous log appends). The
+    /// `const` initializer and drop-free `Cell` keep the access itself
+    /// allocation-free.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -47,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,18 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation counts are process-global, so the metered test and the
-/// (allocation-heavy) proptest must not interleave.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 fn fast_config() -> PipelineConfig {
@@ -91,7 +93,6 @@ fn requests(ids: &[u32], horizon: usize) -> Vec<BatchRequest> {
 
 #[test]
 fn warm_store_fits_do_not_reallocate_design_matrices() {
-    let _guard = lock();
     let fleet = Fleet::generate(FleetConfig::small(8, 4242));
     let config = fast_config();
     let view_len =
@@ -137,7 +138,6 @@ fn warm_store_fits_do_not_reallocate_design_matrices() {
 
 #[test]
 fn warm_cache_hit_batches_allocate_less_than_cold_and_steadily() {
-    let _guard = lock();
     let fleet = Fleet::generate(FleetConfig::small(8, 99));
     let service = PredictionService::new(&fleet, fast_config(), 1).unwrap();
     let reqs = requests(&[0, 1, 2, 3, 4], 3);
@@ -174,7 +174,6 @@ fn warm_cache_hit_batches_allocate_less_than_cold_and_steadily() {
 
 #[test]
 fn warm_commit_log_appends_that_do_not_roll_allocate_nothing() {
-    let _guard = lock();
     let dir = std::env::temp_dir().join(format!("vup-alloc-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (mut log, _) = CommitLog::open(
@@ -229,8 +228,7 @@ proptest! {
         starts in proptest::collection::vec(30usize..260, 1..10),
         width in 35usize..90,
     ) {
-        let _guard = lock();
-        let fleet = Fleet::generate(FleetConfig::small(3, 777));
+            let fleet = Fleet::generate(FleetConfig::small(3, 777));
         let config = fast_config();
         let view = vehicle_usage_prediction::core::VehicleView::build(
             &fleet, VehicleId(1), config.scenario,

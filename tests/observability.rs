@@ -3,9 +3,7 @@
 //! recorded into a live registry or dropped by the no-op one, at every
 //! thread count. These are the regression tests for that invariant.
 
-use vehicle_usage_prediction::core::fleet_eval::{
-    evaluate_fleet, evaluate_fleet_observed, evaluate_fleet_traced, FleetEvaluation,
-};
+use vehicle_usage_prediction::core::fleet_eval::{evaluate_fleet, FleetEvaluation};
 use vehicle_usage_prediction::prelude::*;
 
 fn eval_config() -> PipelineConfig {
@@ -18,6 +16,24 @@ fn eval_config() -> PipelineConfig {
         eval_tail: Some(90),
         ..PipelineConfig::default()
     }
+}
+
+/// Fleet evaluation with a disabled registry and tracer.
+fn untraced(
+    fleet: &Fleet,
+    ids: &[VehicleId],
+    cfg: &PipelineConfig,
+    threads: usize,
+) -> FleetEvaluation {
+    evaluate_fleet(
+        fleet,
+        ids,
+        cfg,
+        threads,
+        &Registry::disabled(),
+        &Tracer::disabled(),
+    )
+    .0
 }
 
 fn assert_bit_identical(a: &FleetEvaluation, b: &FleetEvaluation, label: &str) {
@@ -55,15 +71,16 @@ fn fleet_eval_is_bit_identical_with_and_without_metrics_across_threads() {
     let ids: Vec<VehicleId> = (0..8).map(VehicleId).collect();
     let cfg = eval_config();
 
-    let reference = evaluate_fleet(&fleet, &ids, &cfg, 1);
+    let reference = untraced(&fleet, &ids, &cfg, 1);
     for threads in [1usize, 2, 4] {
-        // No-op registry: the un-instrumented entry point.
-        let plain = evaluate_fleet(&fleet, &ids, &cfg, threads);
+        // No-op registry and tracer.
+        let plain = untraced(&fleet, &ids, &cfg, threads);
         assert_bit_identical(&reference, &plain, &format!("plain, {threads} threads"));
 
         // Live registry: every span timed, every counter recorded.
         let registry = Registry::new();
-        let (observed, summary) = evaluate_fleet_observed(&fleet, &ids, &cfg, threads, &registry);
+        let (observed, summary) =
+            evaluate_fleet(&fleet, &ids, &cfg, threads, &registry, &Tracer::disabled());
         assert_bit_identical(
             &reference,
             &observed,
@@ -72,15 +89,18 @@ fn fleet_eval_is_bit_identical_with_and_without_metrics_across_threads() {
 
         // The instrumentation itself must be internally consistent.
         assert_eq!(summary.tasks_run(), ids.len() as u64);
-        assert_eq!(summary.chunks_claimed(), ids.len() as u64);
         assert!(summary.busy_nanos() > 0, "live metrics time the workers");
         let labels = [("pool", "fleet_eval")];
-        assert_eq!(
-            registry
-                .counter_with("vup_executor_tasks_total", &labels)
-                .get(),
-            ids.len() as u64
-        );
+        for family in [
+            "vup_executor_tasks_total",
+            "vup_executor_chunks_claimed_total",
+        ] {
+            assert_eq!(
+                registry.counter_with(family, &labels).get(),
+                ids.len() as u64,
+                "{family}"
+            );
+        }
         assert_eq!(
             registry
                 .snapshot()
@@ -95,7 +115,14 @@ fn disabled_registry_records_nothing_through_the_observed_path() {
     let fleet = Fleet::generate(FleetConfig::small(4, 405));
     let ids: Vec<VehicleId> = (0..4).map(VehicleId).collect();
     let registry = Registry::disabled();
-    let (_, summary) = evaluate_fleet_observed(&fleet, &ids, &eval_config(), 2, &registry);
+    let (_, summary) = evaluate_fleet(
+        &fleet,
+        &ids,
+        &eval_config(),
+        2,
+        &registry,
+        &Tracer::disabled(),
+    );
     assert!(registry.snapshot().samples.is_empty());
     // Counts are still collected (cheap), but no clock was read.
     assert_eq!(summary.tasks_run(), 4);
@@ -109,11 +136,11 @@ fn fleet_eval_is_bit_identical_with_live_tracer_across_threads() {
     let ids: Vec<VehicleId> = (0..8).map(VehicleId).collect();
     let cfg = eval_config();
 
-    let reference = evaluate_fleet(&fleet, &ids, &cfg, 1);
+    let reference = untraced(&fleet, &ids, &cfg, 1);
     for threads in [1usize, 2, 4] {
         let tracer = Tracer::new();
         let (traced, _) =
-            evaluate_fleet_traced(&fleet, &ids, &cfg, threads, &Registry::disabled(), &tracer);
+            evaluate_fleet(&fleet, &ids, &cfg, threads, &Registry::disabled(), &tracer);
         assert_bit_identical(&reference, &traced, &format!("traced, {threads} threads"));
 
         // The span tree covers the whole run regardless of thread count.
@@ -131,7 +158,7 @@ fn disabled_tracer_records_nothing_and_reads_no_clock() {
     let fleet = Fleet::generate(FleetConfig::small(4, 407));
     let ids: Vec<VehicleId> = (0..4).map(VehicleId).collect();
     let tracer = Tracer::disabled();
-    let (_, summary) = evaluate_fleet_traced(
+    let (_, summary) = evaluate_fleet(
         &fleet,
         &ids,
         &eval_config(),

@@ -2,12 +2,14 @@
 //! plan must produce bit-identical merged outcomes at every thread
 //! count and across coordinator rebuilds; a dead shard's vehicles are
 //! all served degraded (never failed), the supervisor warm-restarts the
-//! shard from its snapshot dir and recovers them next batch; the merged
-//! journal's recovery block must balance fleet-wide; and a rebalance to
-//! one more shard must leave every shard dir audit-clean.
+//! shard from its snapshot dir and recovers them next batch; the
+//! degraded answers come from the shard service's own traced fallback;
+//! the merged journal's recovery block must balance fleet-wide; and a
+//! rebalance to one more shard must leave every shard dir audit-clean.
 
 use std::path::PathBuf;
 
+use vehicle_usage_prediction::obs::Buckets;
 use vehicle_usage_prediction::prelude::*;
 use vehicle_usage_prediction::serve::{audit, ShardFate, ShardFaultPlan, ShardKill};
 use vehicle_usage_prediction::shard::{rebalance, remapped, shard_dir};
@@ -210,6 +212,61 @@ fn a_dead_shard_degrades_exactly_its_vehicles_and_recovers_next_batch() {
     assert_eq!(service.supervision()[KILLED_SHARD as usize], (1, 1));
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_dead_shard_is_answered_by_its_services_traced_fallback() {
+    let fleet = fleet();
+    let registry = Registry::new();
+    let tracer = Tracer::new();
+    let config = PipelineConfig {
+        model: ModelSpec::Learned(RegressorSpec::Linear),
+        ..config()
+    };
+    let mut service = ShardedService::build(&fleet, config, options(2, None), &registry, &tracer)
+        .expect("coordinator builds");
+    let requests = requests();
+
+    // Batch 0 is healthy and fits every primary; batch 1 kills a shard
+    // while the healthy shards serve from cache, so every fit it makes
+    // is a fallback fit.
+    service.serve_batch(&requests, None);
+    let fits = registry.histogram("vup_ml_fit_nanos", Buckets::latency());
+    let fits_before = fits.count();
+    let killed = service.serve_batch(&requests, None);
+
+    let degraded: Vec<&Provenance> = killed
+        .journal
+        .records
+        .iter()
+        .filter(|r| r.path == ServePath::Degraded)
+        .collect();
+    let partitioner = *service.partitioner();
+    assert_eq!(
+        degraded.len(),
+        partitioner.census(VEHICLES as u32)[KILLED_SHARD as usize]
+    );
+    for record in &degraded {
+        assert_eq!(
+            record.model_label, "LV",
+            "vehicle {} must carry the fallback's label",
+            record.vehicle_id
+        );
+    }
+
+    let snapshot = tracer.snapshot();
+    assert_eq!(snapshot.dropped, 0);
+    let fallback_fits = snapshot
+        .events
+        .iter()
+        .filter(|e| e.name == "fallback_fit")
+        .count();
+    assert_eq!(
+        fallback_fits,
+        degraded.len(),
+        "one fallback fit per vehicle"
+    );
+    assert_eq!(fits.count() - fits_before, degraded.len() as u64);
 }
 
 #[test]
