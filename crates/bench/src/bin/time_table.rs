@@ -9,7 +9,8 @@
 //! reproduce the ordering, not the absolute Python-era seconds.
 //!
 //! Run with: `cargo run --release -p vup-bench --bin time_table`
-//! (Criterion microbenches of the same quantities: `cargo bench -p vup-bench`.)
+//! (fleet-level timings: `vup bench`; end-to-end and per-layer fit
+//! costs: `perfbench`.)
 
 use std::time::Instant;
 

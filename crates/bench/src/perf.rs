@@ -19,9 +19,7 @@
 //! (fleet-eval + warm serve-batch), `BENCH_ingest.json` (ingest +
 //! replay), `BENCH_serve.json` (daemon + loadgen) — each stamped with
 //! the config fingerprint, git revision, build profile and thread count
-//! that produced it. `BENCH_serve.json` predates this schema (it held a
-//! single loadgen [`vup_net::BenchReport`]); [`BenchFile::parse`]
-//! migrates that legacy record into the trajectory on first touch.
+//! that produced it.
 //!
 //! The daemon workload's counts are intentionally empty: admission-queue
 //! shedding makes its request mix timing-dependent, so only its
@@ -42,7 +40,6 @@ use vup_net::loadgen::{self, LoadPlan};
 use vup_net::{AppHandler, Server, ServerConfig};
 use vup_obs::{FleetMonitor, MonitorConfig, Profile, ProfileWeight, Registry, Tracer};
 use vup_serve::{BatchRequest, DiskBackend, ModelStore, PredictionService};
-use vup_shard::{ShardOptions, ShardedService};
 
 use crate::small_fleet;
 
@@ -100,26 +97,17 @@ impl Default for BenchFile {
 }
 
 impl BenchFile {
-    /// Parses trajectory JSON. A file in the legacy single-record
-    /// loadgen format (the original `BENCH_serve.json`) is migrated
-    /// into a one-entry trajectory instead of rejected.
+    /// Parses trajectory JSON, rejecting a schema newer than this binary.
     pub fn parse(text: &str) -> Result<BenchFile, String> {
-        if let Ok(file) = serde_json::from_str::<BenchFile>(text) {
-            if file.schema_version > BENCH_SCHEMA_VERSION {
-                return Err(format!(
-                    "bench file schema {} is newer than this binary ({})",
-                    file.schema_version, BENCH_SCHEMA_VERSION
-                ));
-            }
-            return Ok(file);
+        let file = serde_json::from_str::<BenchFile>(text)
+            .map_err(|e| format!("not a bench trajectory: {e}"))?;
+        if file.schema_version > BENCH_SCHEMA_VERSION {
+            return Err(format!(
+                "bench file schema {} is newer than this binary ({})",
+                file.schema_version, BENCH_SCHEMA_VERSION
+            ));
         }
-        match vup_net::BenchReport::from_json(text) {
-            Ok(legacy) => Ok(BenchFile {
-                schema_version: BENCH_SCHEMA_VERSION,
-                entries: vec![migrate_legacy_loadgen(&legacy)],
-            }),
-            Err(e) => Err(format!("not a bench trajectory or legacy report: {e}")),
-        }
+        Ok(file)
     }
 
     /// Loads a trajectory from disk; a missing file is an empty one.
@@ -162,30 +150,6 @@ impl BenchFile {
     }
 }
 
-/// Folds the legacy single-record loadgen report into the trajectory
-/// schema (metrics only — the legacy format carries no profile counts).
-fn migrate_legacy_loadgen(report: &vup_net::BenchReport) -> BenchRecord {
-    let mut metrics = BTreeMap::new();
-    metrics.insert("wall_ms".to_string(), report.wall_ms as f64);
-    metrics.insert("sustained_rps".to_string(), report.sustained_rps);
-    metrics.insert("latency_p50_us".to_string(), report.latency_us.p50 as f64);
-    metrics.insert("latency_p99_us".to_string(), report.latency_us.p99 as f64);
-    metrics.insert("ok".to_string(), report.ok as f64);
-    metrics.insert("shed".to_string(), report.shed as f64);
-    BenchRecord {
-        workload: "serve_daemon".to_string(),
-        stamp: BenchStamp {
-            config_fingerprint: "legacy".to_string(),
-            git_rev: "legacy".to_string(),
-            build_profile: "unknown".to_string(),
-            threads: report.plan.clients,
-            quick: false,
-        },
-        counts: BTreeMap::new(),
-        metrics,
-    }
-}
-
 /// What `vup bench` should run and where results land.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
@@ -198,12 +162,6 @@ pub struct BenchOptions {
     /// Whether to run the serve-daemon loadgen workload (binds a real
     /// socket on 127.0.0.1).
     pub daemon: bool,
-    /// Shard count for the serve-batch workload. The default of 1
-    /// keeps the classic single-service path byte-identical (the
-    /// `bench compare` count gate depends on it); > 1 routes the
-    /// batches through the `vup-shard` coordinator and stamps a
-    /// `shards` count into the record.
-    pub shards: u32,
 }
 
 impl Default for BenchOptions {
@@ -213,7 +171,6 @@ impl Default for BenchOptions {
             threads: 4,
             out_dir: PathBuf::from("."),
             daemon: true,
-            shards: 1,
         }
     }
 }
@@ -389,69 +346,31 @@ pub fn run_serve_batch(options: &BenchOptions) -> Result<WorkloadOutcome, String
         })
         .collect();
 
-    // The sharded branch exists only when asked for: with shards == 1
-    // the classic single-service path runs untouched, so the default
-    // trajectory (and the compare gate's exact counts) cannot move.
-    let (cold_len, models_cached, cold_wall, warm_wall) = if options.shards > 1 {
-        let mut sharded = ShardedService::build(
-            &fleet,
-            config.clone(),
-            ShardOptions {
-                threads: options.threads,
-                ..ShardOptions::new(options.shards)
-            },
-            &Registry::disabled(),
-            &tracer,
-        )
-        .map_err(|e| format!("serve_batch: {e}"))?;
-        let started = Instant::now();
-        let cold = sharded.serve_batch(&requests, None);
-        let cold_wall = started.elapsed();
-        let started = Instant::now();
-        for _ in 0..repeats {
-            sharded.serve_batch(&requests, None);
-        }
-        (
-            cold.outcomes.len(),
-            sharded.cached_models(),
-            cold_wall,
-            started.elapsed(),
-        )
-    } else {
-        let service = PredictionService::new_observed(
-            &fleet,
-            config.clone(),
-            options.threads,
-            &Registry::disabled(),
-        )
-        .map_err(|e| format!("serve_batch: {e}"))?
-        .with_tracer(tracer.clone());
-        let started = Instant::now();
-        let cold = service.serve_batch(&requests, None);
-        let cold_wall = started.elapsed();
-        let started = Instant::now();
-        for _ in 0..repeats {
-            service.serve_batch(&requests, None);
-        }
-        (
-            cold.len(),
-            service.store().len(),
-            cold_wall,
-            started.elapsed(),
-        )
-    };
+    let service = PredictionService::new_observed(
+        &fleet,
+        config.clone(),
+        options.threads,
+        &Registry::disabled(),
+    )
+    .map_err(|e| format!("serve_batch: {e}"))?
+    .with_tracer(tracer.clone());
+    let started = Instant::now();
+    let cold = service.serve_batch(&requests, None);
+    let cold_wall = started.elapsed();
+    let started = Instant::now();
+    for _ in 0..repeats {
+        service.serve_batch(&requests, None);
+    }
+    let warm_wall = started.elapsed();
     let profile = Profile::from_snapshot(&tracer.snapshot());
 
     let mut counts = BTreeMap::new();
-    counts.insert("requests_cold".to_string(), cold_len as u64);
+    counts.insert("requests_cold".to_string(), cold.len() as u64);
     counts.insert(
         "requests_warm".to_string(),
         (repeats * requests.len()) as u64,
     );
-    counts.insert("models_cached".to_string(), models_cached as u64);
-    if options.shards > 1 {
-        counts.insert("shards".to_string(), u64::from(options.shards));
-    }
+    counts.insert("models_cached".to_string(), service.store().len() as u64);
     profile_counts(&profile, &mut counts);
     let mut metrics = BTreeMap::new();
     metrics.insert("cold_wall_ms".to_string(), ms(cold_wall));
@@ -670,10 +589,6 @@ pub fn higher_is_better(metric: &str) -> bool {
 /// One metric's old/new comparison line.
 #[derive(Debug, Clone)]
 pub struct CompareLine {
-    /// Workload the metric belongs to.
-    pub workload: String,
-    /// Metric or count name.
-    pub name: String,
     /// Human-readable verdict line.
     pub rendered: String,
     /// Whether this line fails the gate.
@@ -703,16 +618,10 @@ impl CompareReport {
 }
 
 /// Diffs two trajectories: for every workload in OLD, its newest entry
-/// is compared against NEW's newest entry. Counts must match exactly
-/// (unless `ignore_counts`); metrics regress when they are worse than
-/// OLD by more than `threshold_pct` percent, direction per
-/// [`higher_is_better`].
-pub fn compare(
-    old: &BenchFile,
-    new: &BenchFile,
-    threshold_pct: f64,
-    ignore_counts: bool,
-) -> CompareReport {
+/// is compared against NEW's newest entry. Counts must match exactly;
+/// metrics regress when they are worse than OLD by more than
+/// `threshold_pct` percent, direction per [`higher_is_better`].
+pub fn compare(old: &BenchFile, new: &BenchFile, threshold_pct: f64) -> CompareReport {
     let mut report = CompareReport::default();
     for workload in old.workloads() {
         let old_rec = old.last(workload).expect("workload listed");
@@ -720,29 +629,21 @@ pub fn compare(
             report.missing_workloads.push(workload.to_string());
             continue;
         };
-        if !ignore_counts {
-            for (name, old_v) in &old_rec.counts {
-                let new_v = new_rec.counts.get(name).copied();
-                let failed = new_v != Some(*old_v);
-                report.lines.push(CompareLine {
-                    workload: workload.to_string(),
-                    name: name.clone(),
-                    rendered: match new_v {
-                        Some(v) if !failed => format!("{workload}/{name}: {old_v} == {v}"),
-                        Some(v) => {
-                            format!("{workload}/{name}: COUNT DRIFT {old_v} -> {v}")
-                        }
-                        None => format!("{workload}/{name}: COUNT MISSING (was {old_v})"),
-                    },
-                    failed,
-                });
-            }
+        for (name, old_v) in &old_rec.counts {
+            let new_v = new_rec.counts.get(name).copied();
+            let failed = new_v != Some(*old_v);
+            report.lines.push(CompareLine {
+                rendered: match new_v {
+                    Some(v) if !failed => format!("{workload}/{name}: {old_v} == {v}"),
+                    Some(v) => format!("{workload}/{name}: COUNT DRIFT {old_v} -> {v}"),
+                    None => format!("{workload}/{name}: COUNT MISSING (was {old_v})"),
+                },
+                failed,
+            });
         }
         for (name, old_v) in &old_rec.metrics {
             let Some(new_v) = new_rec.metrics.get(name).copied() else {
                 report.lines.push(CompareLine {
-                    workload: workload.to_string(),
-                    name: name.clone(),
                     rendered: format!("{workload}/{name}: METRIC MISSING (was {old_v:.3})"),
                     failed: true,
                 });
@@ -760,8 +661,6 @@ pub fn compare(
             };
             let failed = worse > threshold_pct;
             report.lines.push(CompareLine {
-                workload: workload.to_string(),
-                name: name.clone(),
                 rendered: format!(
                     "{workload}/{name}: {old_v:.3} -> {new_v:.3} ({delta_pct:+.1}%){}",
                     if failed { "  REGRESSION" } else { "" }
@@ -771,114 +670,6 @@ pub fn compare(
         }
     }
     report
-}
-
-/// One minimum-improvement claim for `bench compare --assert-improved`:
-/// NEW's `workload/metric` must be better than OLD's by at least
-/// `min_pct` percent, direction per [`higher_is_better`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImprovementAssertion {
-    /// Workload whose newest records are compared.
-    pub workload: String,
-    /// Metric name within the workload's record.
-    pub metric: String,
-    /// Minimum improvement in percent (better direction), e.g. `15.0`
-    /// means "at least 15% faster" for a lower-is-better metric.
-    pub min_pct: f64,
-}
-
-/// Parses a comma-separated `--assert-improved` spec of the form
-/// `workload/metric=pct[,workload/metric=pct...]`.
-pub fn parse_improvement_spec(spec: &str) -> Result<Vec<ImprovementAssertion>, String> {
-    let mut assertions = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        let err = || {
-            format!(
-                "invalid --assert-improved entry '{part}' \
-                 (expected workload/metric=pct)"
-            )
-        };
-        let (target, pct) = part.split_once('=').ok_or_else(err)?;
-        let (workload, metric) = target.split_once('/').ok_or_else(err)?;
-        if workload.is_empty() || metric.is_empty() {
-            return Err(err());
-        }
-        let min_pct: f64 = pct
-            .trim()
-            .parse()
-            .map_err(|_| format!("invalid percentage '{pct}' in '{part}'"))?;
-        if !min_pct.is_finite() || min_pct < 0.0 {
-            return Err(format!("percentage must be finite and >= 0 in '{part}'"));
-        }
-        assertions.push(ImprovementAssertion {
-            workload: workload.trim().to_string(),
-            metric: metric.trim().to_string(),
-            min_pct,
-        });
-    }
-    Ok(assertions)
-}
-
-/// Checks every assertion against the newest OLD/NEW records and
-/// returns one line per assertion; a line fails when the metric is
-/// missing or the improvement falls short of the claimed minimum.
-pub fn assert_improvements(
-    old: &BenchFile,
-    new: &BenchFile,
-    assertions: &[ImprovementAssertion],
-) -> Vec<CompareLine> {
-    assertions
-        .iter()
-        .map(|a| {
-            let lookup = |file: &BenchFile| {
-                file.last(&a.workload)
-                    .and_then(|r| r.metrics.get(&a.metric).copied())
-            };
-            let (Some(old_v), Some(new_v)) = (lookup(old), lookup(new)) else {
-                return CompareLine {
-                    workload: a.workload.clone(),
-                    name: a.metric.clone(),
-                    rendered: format!(
-                        "{}/{}: ASSERT FAILED (metric missing from old or new)",
-                        a.workload, a.metric
-                    ),
-                    failed: true,
-                };
-            };
-            let delta_pct = if old_v == 0.0 {
-                0.0
-            } else {
-                (new_v - old_v) / old_v * 100.0
-            };
-            let better = if higher_is_better(&a.metric) {
-                delta_pct
-            } else {
-                -delta_pct
-            };
-            let failed = !matches!(
-                better.partial_cmp(&a.min_pct),
-                Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-            );
-            CompareLine {
-                workload: a.workload.clone(),
-                name: a.metric.clone(),
-                rendered: format!(
-                    "{}/{}: {old_v:.3} -> {new_v:.3} ({delta_pct:+.1}%, \
-                     claimed >= {:.1}% better){}",
-                    a.workload,
-                    a.metric,
-                    a.min_pct,
-                    if failed {
-                        "  ASSERT FAILED"
-                    } else {
-                        "  improved"
-                    }
-                ),
-                failed,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -914,7 +705,7 @@ mod tests {
             &[("stage_fit_count", 10)],
             &[("wall_ms", 120.0), ("vehicles_per_sec", 80.0)],
         )]);
-        let report = compare(&f, &f, 5.0, false);
+        let report = compare(&f, &f, 5.0);
         assert!(report.ok(), "{:?}", report.failures());
         assert_eq!(report.lines.len(), 3);
     }
@@ -923,23 +714,23 @@ mod tests {
     fn injected_slowdown_fails_lower_better_metrics() {
         let old = file(vec![record("w", &[], &[("wall_ms", 100.0)])]);
         let new = file(vec![record("w", &[], &[("wall_ms", 140.0)])]);
-        let report = compare(&old, &new, 20.0, false);
+        let report = compare(&old, &new, 20.0);
         assert!(!report.ok());
         assert!(report.failures()[0].rendered.contains("REGRESSION"));
         // Under a generous threshold the same delta passes.
-        assert!(compare(&old, &new, 50.0, false).ok());
+        assert!(compare(&old, &new, 50.0).ok());
         // Getting faster never fails.
         let faster = file(vec![record("w", &[], &[("wall_ms", 60.0)])]);
-        assert!(compare(&old, &faster, 20.0, false).ok());
+        assert!(compare(&old, &faster, 20.0).ok());
     }
 
     #[test]
     fn throughput_direction_is_inverted() {
         let old = file(vec![record("w", &[], &[("sustained_rps", 1000.0)])]);
         let slower = file(vec![record("w", &[], &[("sustained_rps", 700.0)])]);
-        assert!(!compare(&old, &slower, 20.0, false).ok());
+        assert!(!compare(&old, &slower, 20.0).ok());
         let faster = file(vec![record("w", &[], &[("sustained_rps", 1400.0)])]);
-        assert!(compare(&old, &faster, 20.0, false).ok());
+        assert!(compare(&old, &faster, 20.0).ok());
         assert!(higher_is_better("warm_requests_per_sec"));
         assert!(higher_is_better("sustained_rps"));
         assert!(!higher_is_better("wall_ms"));
@@ -950,17 +741,16 @@ mod tests {
     fn count_drift_fails_regardless_of_threshold() {
         let old = file(vec![record("w", &[("stage_fit_count", 10)], &[])]);
         let new = file(vec![record("w", &[("stage_fit_count", 11)], &[])]);
-        assert!(!compare(&old, &new, 1000.0, false).ok());
-        assert!(compare(&old, &new, 1000.0, true).ok(), "--ignore-counts");
+        assert!(!compare(&old, &new, 1000.0).ok());
         let missing = file(vec![record("w", &[], &[])]);
-        assert!(!compare(&old, &missing, 1000.0, false).ok());
+        assert!(!compare(&old, &missing, 1000.0).ok());
     }
 
     #[test]
     fn missing_workload_fails() {
         let old = file(vec![record("w", &[], &[("wall_ms", 1.0)])]);
         let new = file(vec![record("other", &[], &[("wall_ms", 1.0)])]);
-        let report = compare(&old, &new, 5.0, false);
+        let report = compare(&old, &new, 5.0);
         assert_eq!(report.missing_workloads, vec!["w".to_string()]);
         assert!(!report.ok());
     }
@@ -973,7 +763,7 @@ mod tests {
         ]);
         // New run matches the *latest* old entry, not the first.
         let new = file(vec![record("w", &[], &[("wall_ms", 205.0)])]);
-        assert!(compare(&old, &new, 10.0, false).ok());
+        assert!(compare(&old, &new, 10.0).ok());
     }
 
     #[test]
@@ -993,8 +783,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_loadgen_report_migrates_into_the_trajectory() {
-        let legacy = vup_net::BenchReport {
+    fn newer_schema_is_rejected_not_misread() {
+        let text = format!(
+            "{{\"schema_version\": {}, \"entries\": []}}",
+            BENCH_SCHEMA_VERSION + 1
+        );
+        assert!(BenchFile::parse(&text).is_err());
+        assert!(BenchFile::parse("not json").is_err());
+
+        // A `vup loadgen` report is not a trajectory, and `load` names
+        // the file it could not read.
+        let report = vup_net::BenchReport {
             plan: LoadPlan::default(),
             wall_ms: 500,
             total: 200,
@@ -1007,86 +806,15 @@ mod tests {
             histogram: Vec::new(),
             metrics_samples: 42,
         };
-        let file = BenchFile::parse(&legacy.to_json()).unwrap();
-        assert_eq!(file.entries.len(), 1);
-        let entry = &file.entries[0];
-        assert_eq!(entry.workload, "serve_daemon");
-        assert_eq!(entry.metrics["sustained_rps"], 380.0);
-        assert!(entry.counts.is_empty());
-        assert_eq!(entry.stamp.git_rev, "legacy");
-    }
-
-    #[test]
-    fn newer_schema_is_rejected_not_misread() {
-        let text = format!(
-            "{{\"schema_version\": {}, \"entries\": []}}",
-            BENCH_SCHEMA_VERSION + 1
-        );
-        assert!(BenchFile::parse(&text).is_err());
-        assert!(BenchFile::parse("not json").is_err());
-    }
-
-    #[test]
-    fn improvement_spec_parses_and_rejects() {
-        let parsed =
-            parse_improvement_spec("fleet_eval/wall_ms=15, serve_batch/warm_requests_per_sec=20")
-                .unwrap();
-        assert_eq!(
-            parsed,
-            vec![
-                ImprovementAssertion {
-                    workload: "fleet_eval".into(),
-                    metric: "wall_ms".into(),
-                    min_pct: 15.0,
-                },
-                ImprovementAssertion {
-                    workload: "serve_batch".into(),
-                    metric: "warm_requests_per_sec".into(),
-                    min_pct: 20.0,
-                },
-            ]
-        );
-        assert!(parse_improvement_spec("fleet_eval=15").is_err());
-        assert!(parse_improvement_spec("fleet_eval/wall_ms").is_err());
-        assert!(parse_improvement_spec("/wall_ms=15").is_err());
-        assert!(parse_improvement_spec("fleet_eval/wall_ms=-3").is_err());
-        assert!(parse_improvement_spec("fleet_eval/wall_ms=abc").is_err());
-    }
-
-    #[test]
-    fn improvement_assertions_are_direction_aware() {
-        let old = file(vec![record(
-            "fleet_eval",
-            &[],
-            &[("wall_ms", 100.0), ("vehicles_per_sec", 100.0)],
-        )]);
-        let new = file(vec![record(
-            "fleet_eval",
-            &[],
-            &[("wall_ms", 80.0), ("vehicles_per_sec", 110.0)],
-        )]);
-        let lines = assert_improvements(
-            &old,
-            &new,
-            &parse_improvement_spec("fleet_eval/wall_ms=15,fleet_eval/vehicles_per_sec=5").unwrap(),
-        );
-        assert!(lines.iter().all(|l| !l.failed), "{lines:?}");
-
-        // Claiming more improvement than happened fails both directions.
-        let lines = assert_improvements(
-            &old,
-            &new,
-            &parse_improvement_spec("fleet_eval/wall_ms=25,fleet_eval/vehicles_per_sec=15")
-                .unwrap(),
-        );
-        assert!(lines.iter().all(|l| l.failed), "{lines:?}");
-
-        // Missing workload or metric is a failure, not a pass.
-        let lines = assert_improvements(
-            &old,
-            &new,
-            &parse_improvement_spec("serve_batch/warm_ms_per_batch=15").unwrap(),
-        );
-        assert!(lines[0].failed);
+        let err = BenchFile::parse(&report.to_json()).unwrap_err();
+        assert!(err.contains("not a bench trajectory"), "{err}");
+        let dir = std::env::temp_dir().join(format!("vup-bench-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("loadgen-report.json");
+        std::fs::write(&path, report.to_json()).unwrap();
+        let err = BenchFile::load(&path).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("not a bench trajectory"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,9 +5,9 @@
 //! stream* is a pure function of `(seed, client, iteration)` via
 //! splitmix64, so two runs against equivalent servers issue identical
 //! batches; wall-clock results (RPS, latencies) are of course
-//! machine-dependent. Results land in a [`BenchReport`] serialized to
-//! `BENCH_serve.json` — the repo's perf-trajectory format for the
-//! serving path.
+//! machine-dependent. Results land in a [`BenchReport`]: one run's
+//! record (`vup loadgen` writes `loadgen-report.json` by default), not
+//! a `vup bench` trajectory.
 //!
 //! The harness doubles as the overload driver for CI: point it at a
 //! server with a tiny admission queue and it records how many requests
@@ -83,7 +83,7 @@ pub struct LatencyBucket {
     pub count: u64,
 }
 
-/// The serving benchmark record committed as `BENCH_serve.json`.
+/// One load-generation run's record (`vup loadgen --out`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchReport {
     /// The plan that was run (seed included, for reproduction).
@@ -112,12 +112,12 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Pretty JSON for `BENCH_serve.json`.
+    /// Pretty JSON, as `vup loadgen` writes it.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("bench report serializes")
     }
 
-    /// Parses a committed report.
+    /// Parses a saved report.
     pub fn from_json(text: &str) -> Result<BenchReport, serde_json::Error> {
         serde_json::from_str(text)
     }

@@ -124,7 +124,7 @@ SUBCOMMANDS:
                       --model/--retry-max/--deadline-ms/--fallback/
                       --faults/--store-dir : as for serve-batch
     loadgen    Seeded closed-loop load generator against a running
-               `vup serve`; writes the BENCH_serve.json perf record
+               `vup serve`; writes a JSON run report
                (sustained RPS + exact latency percentiles) and
                strict-parses the server's final /metrics export
                flags: --addr HOST:PORT (required)
@@ -132,7 +132,7 @@ SUBCOMMANDS:
                       per client) --duration-ms MS (overrides --requests)
                       --batch B (default 4) --pool P (default 50)
                       --horizon H (default 3) --seed S (default 7)
-                      --out PATH|- (default BENCH_serve.json)
+                      --out PATH|- (default loadgen-report.json)
     store      Inspect durable snapshot stores without serving
                usage: vup store verify DIR [DIR ...]
                Classifies every snapshot read-only (ok / truncated /
@@ -193,19 +193,13 @@ SUBCOMMANDS:
                       --threads T (default 4)
                       --out-dir DIR (default .)
                       --no-daemon : skip the socket-binding workload
-                      --shards N (default 1) : route the serve-batch
-                      workload through the shard coordinator; N > 1
-                      stamps a \"shards\" count into the record
     bench compare
                Gate NEW against OLD: profile/outcome counts must match
                exactly, wall-clock metrics may move at most the
                threshold in the worse direction (*_per_sec and *rps are
                higher-better); exits nonzero on any regression
                usage: vup bench compare OLD NEW [--threshold-pct N
-                      (default 10)] [--ignore-counts]
-                      [--assert-improved workload/metric=pct,... :
-                      additionally require NEW to beat OLD by at least
-                      pct percent on each listed metric]
+                      (default 10; finite and >= 0)]
     help       Show this message
 
 Common defaults: --vehicles 50 --seed 7 --id 0
@@ -218,7 +212,7 @@ may write to stdout ('-').
 const REASON_CHARS: usize = 72;
 
 /// Flags that are switches: present means on, they take no value.
-const SWITCH_FLAGS: &[&str] = &["json", "quick", "no-daemon", "ignore-counts"];
+const SWITCH_FLAGS: &[&str] = &["json", "quick", "no-daemon"];
 
 /// Minimal `--key value` flag parser (no external dependency).
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -238,6 +232,19 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         flags.insert(name.to_owned(), value.clone());
     }
     Ok(flags)
+}
+
+/// Rejects any flag outside `known`, so a removed or misspelt flag fails
+/// instead of being silently ignored.
+fn reject_unknown_flags(flags: &HashMap<String, String>, known: &[&str]) -> Result<(), String> {
+    match flags
+        .keys()
+        .filter(|name| !known.contains(&name.as_str()))
+        .min()
+    {
+        Some(name) => Err(format!("unknown flag --{name}")),
+        None => Ok(()),
+    }
 }
 
 fn flag<T: std::str::FromStr>(
@@ -1148,7 +1155,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `vup loadgen` — seeded closed-loop load against a running daemon;
-/// writes the `BENCH_serve.json` perf-trajectory record.
+/// writes one run's JSON report.
 fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     use vehicle_usage_prediction::net::loadgen::{self, LoadPlan};
 
@@ -1199,7 +1206,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     let dest = flags
         .get("out")
         .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+        .unwrap_or_else(|| "loadgen-report.json".to_string());
     write_artifact(&report.to_json(), &dest, "serving benchmark")?;
     Ok(())
 }
@@ -1675,6 +1682,7 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `vup bench` — run the canonical seeded workloads and append to the
 /// schema-versioned `BENCH_*.json` perf trajectories.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(flags, &["quick", "threads", "out-dir", "no-daemon"])?;
     let options = BenchOptions {
         quick: flags.contains_key("quick"),
         threads: flag(flags, "threads", 4)?,
@@ -1682,13 +1690,9 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
             flags.get("out-dir").cloned().unwrap_or_else(|| ".".into()),
         ),
         daemon: !flags.contains_key("no-daemon"),
-        shards: flag(flags, "shards", 1)?,
     };
     if options.threads == 0 {
         return Err("--threads must be positive for bench runs".into());
-    }
-    if options.shards == 0 {
-        return Err("--shards must be positive for bench runs".into());
     }
     eprintln!(
         "bench: {} sizing, {} thread(s), out-dir {}{}",
@@ -1729,8 +1733,7 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `vup bench compare OLD NEW` — the CI perf gate: exits nonzero when
 /// NEW regressed against OLD.
 fn cmd_bench_compare(rest: &[String]) -> Result<(), String> {
-    let usage = "usage: vup bench compare OLD NEW [--threshold-pct N] [--ignore-counts] \
-                 [--assert-improved workload/metric=pct,...]";
+    let usage = "usage: vup bench compare OLD NEW [--threshold-pct N]";
     let [old_path, new_path, tail @ ..] = rest else {
         return Err(usage.into());
     };
@@ -1738,12 +1741,15 @@ fn cmd_bench_compare(rest: &[String]) -> Result<(), String> {
         return Err(usage.into());
     }
     let flags = parse_flags(tail)?;
+    reject_unknown_flags(&flags, &["threshold-pct"]).map_err(|e| format!("{e} ({usage})"))?;
     let threshold: f64 = flag(&flags, "threshold-pct", 10.0)?;
-    let ignore_counts = flags.contains_key("ignore-counts");
-    let assertions = match flags.get("assert-improved") {
-        Some(spec) => perf::parse_improvement_spec(spec)?,
-        None => Vec::new(),
-    };
+    // `worse > NaN` is always false, so a NaN threshold would pass every
+    // timing; a negative one would fail a run that did not move.
+    if !threshold.is_finite() || threshold < 0.0 {
+        return Err(format!(
+            "--threshold-pct must be finite and >= 0, got '{threshold}' ({usage})"
+        ));
+    }
     for path in [old_path, new_path] {
         if !std::path::Path::new(path).exists() {
             return Err(format!("bench file '{path}' does not exist"));
@@ -1751,27 +1757,20 @@ fn cmd_bench_compare(rest: &[String]) -> Result<(), String> {
     }
     let old = BenchFile::load(std::path::Path::new(old_path))?;
     let new = BenchFile::load(std::path::Path::new(new_path))?;
-    let report = perf::compare(&old, &new, threshold, ignore_counts);
+    let report = perf::compare(&old, &new, threshold);
     for line in &report.lines {
         println!("{}", line.rendered);
     }
     for workload in &report.missing_workloads {
         println!("{workload}: WORKLOAD MISSING from '{new_path}'");
     }
-    let assert_lines = perf::assert_improvements(&old, &new, &assertions);
-    for line in &assert_lines {
-        println!("{}", line.rendered);
-    }
-    let failed_asserts = assert_lines.iter().filter(|l| l.failed).count();
-    if report.ok() && failed_asserts == 0 {
+    if report.ok() {
         println!("bench compare: ok (threshold {threshold}%)");
         Ok(())
     } else {
         Err(format!(
-            "bench compare: {} regression(s) beyond {threshold}% and {} failed \
-             improvement assertion(s) (see lines above)",
-            report.failures().len() + report.missing_workloads.len(),
-            failed_asserts
+            "bench compare: {} regression(s) beyond {threshold}% (see lines above)",
+            report.failures().len() + report.missing_workloads.len()
         ))
     }
 }

@@ -1280,7 +1280,7 @@ fn bench_compare_gates_regressions_and_passes_self_compare() {
         .expect("binary runs");
     assert!(out.status.success());
 
-    // Count drift fails at any threshold unless --ignore-counts.
+    // Count drift fails at any threshold.
     let drifted = dir.join("drifted.json");
     bench_file(&drifted, 100.0, 50.0, 11);
     let out = vup()
@@ -1291,13 +1291,39 @@ fn bench_compare_gates_regressions_and_passes_self_compare() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("COUNT DRIFT"));
+
+    // A NaN threshold would pass every timing (`worse > NaN` is false)
+    // and a negative one would fail an unchanged run: both are usage
+    // errors, rejected before any file is compared.
+    for bad in ["NaN", "inf", "-5"] {
+        let out = vup()
+            .args(["bench", "compare"])
+            .args([old.to_str().unwrap(), slow.to_str().unwrap()])
+            .args(["--threshold-pct", bad])
+            .output()
+            .expect("binary runs");
+        assert!(
+            !out.status.success(),
+            "--threshold-pct {bad} must be rejected"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--threshold-pct must be finite"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: vup bench compare"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing is compared");
+    }
+
+    // Flags the gate does not know are rejected, not ignored.
     let out = vup()
         .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), drifted.to_str().unwrap()])
-        .args(["--threshold-pct", "1000", "--ignore-counts"])
+        .args([old.to_str().unwrap(), slow.to_str().unwrap()])
+        .args(["--assert-improved", "fleet_eval/wall_ms=15"])
         .output()
         .expect("binary runs");
-    assert!(out.status.success());
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --assert-improved"));
 
     // Missing files and bad usage fail cleanly.
     let out = vup()
