@@ -46,6 +46,13 @@ use crate::small_fleet;
 /// Version stamped into every [`BenchFile`].
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
+/// Trajectory of the fleet-eval and warm serve-batch workloads.
+const CORE_TRAJECTORY: &str = "BENCH_core.json";
+/// Trajectory of the ingest + replay workload.
+const INGEST_TRAJECTORY: &str = "BENCH_ingest.json";
+/// Trajectory of the serve-daemon loadgen workload.
+const SERVE_TRAJECTORY: &str = "BENCH_serve.json";
+
 /// Environment stamp carried by every [`BenchRecord`], so a trajectory
 /// line is attributable to the build that produced it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -319,7 +326,7 @@ pub fn run_fleet_eval(options: &BenchOptions) -> Result<WorkloadOutcome, String>
     );
     finish_workload(
         "fleet_eval",
-        options.out_dir.join("BENCH_core.json"),
+        options.out_dir.join(CORE_TRAJECTORY),
         BenchRecord {
             workload: "fleet_eval".to_string(),
             stamp: stamp(&config, options.threads, options.quick),
@@ -384,7 +391,7 @@ pub fn run_serve_batch(options: &BenchOptions) -> Result<WorkloadOutcome, String
     );
     finish_workload(
         "serve_batch",
-        options.out_dir.join("BENCH_core.json"),
+        options.out_dir.join(CORE_TRAJECTORY),
         BenchRecord {
             workload: "serve_batch".to_string(),
             stamp: stamp(&config, options.threads, options.quick),
@@ -472,7 +479,7 @@ pub fn run_ingest_replay(options: &BenchOptions) -> Result<WorkloadOutcome, Stri
         );
         finish_workload(
             "ingest_replay",
-            options.out_dir.join("BENCH_ingest.json"),
+            options.out_dir.join(INGEST_TRAJECTORY),
             BenchRecord {
                 workload: "ingest_replay".to_string(),
                 stamp: stamp(&config, options.threads, options.quick),
@@ -552,7 +559,7 @@ pub fn run_serve_daemon(options: &BenchOptions) -> Result<WorkloadOutcome, Strin
     metrics.insert("shed".to_string(), report.shed as f64);
     finish_workload(
         "serve_daemon",
-        options.out_dir.join("BENCH_serve.json"),
+        options.out_dir.join(SERVE_TRAJECTORY),
         BenchRecord {
             workload: "serve_daemon".to_string(),
             stamp: stamp(&config, options.threads, options.quick),
@@ -565,10 +572,18 @@ pub fn run_serve_daemon(options: &BenchOptions) -> Result<WorkloadOutcome, Strin
 }
 
 /// Runs every workload and appends to the trajectory files under
-/// `options.out_dir`.
+/// `options.out_dir`. Every trajectory the run appends to is loaded
+/// first, so an unreadable one fails the run before any file changes.
 pub fn run_all(options: &BenchOptions) -> Result<Vec<WorkloadOutcome>, String> {
     std::fs::create_dir_all(&options.out_dir)
         .map_err(|e| format!("cannot create '{}': {e}", options.out_dir.display()))?;
+    let mut trajectories = vec![CORE_TRAJECTORY, INGEST_TRAJECTORY];
+    if options.daemon {
+        trajectories.push(SERVE_TRAJECTORY);
+    }
+    for name in trajectories {
+        BenchFile::load(&options.out_dir.join(name))?;
+    }
     let mut outcomes = vec![
         run_fleet_eval(options)?,
         run_serve_batch(options)?,
@@ -780,6 +795,35 @@ mod tests {
         assert_eq!(loaded.last("a").unwrap().metrics["m"], 3.0);
         assert_eq!(loaded.workloads(), vec!["a"]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bad_trajectory_fails_the_run_before_any_append() {
+        let dir = std::env::temp_dir().join(format!("vup-bench-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let core = dir.join(CORE_TRAJECTORY);
+        let ingest = dir.join(INGEST_TRAJECTORY);
+        BenchFile::append_to(&core, record("fleet_eval", &[("c", 1)], &[("m", 2.0)])).unwrap();
+        BenchFile::append_to(&ingest, record("ingest_replay", &[("c", 1)], &[("m", 2.0)])).unwrap();
+        let (core_before, ingest_before) = (
+            std::fs::read(&core).unwrap(),
+            std::fs::read(&ingest).unwrap(),
+        );
+        std::fs::write(dir.join(SERVE_TRAJECTORY), r#"{"plan": {}}"#).unwrap();
+
+        let options = BenchOptions {
+            quick: true,
+            threads: 1,
+            out_dir: dir.clone(),
+            daemon: true,
+        };
+        let err = run_all(&options).unwrap_err();
+        assert!(err.contains(SERVE_TRAJECTORY), "{err}");
+        assert_eq!(std::fs::read(&core).unwrap(), core_before);
+        assert_eq!(std::fs::read(&ingest).unwrap(), ingest_before);
+        assert!(!dir.join("BENCH_profile_fleet_eval.collapsed").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

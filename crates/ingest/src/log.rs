@@ -29,6 +29,15 @@
 //! bit flips, transient errors, a filling disk) applies to the log
 //! unchanged.
 //!
+//! Appends go through [`StorageBackend::append_to`] on one
+//! [`AppendTarget`] for the active segment, so the real filesystem opens
+//! a segment once and then spends one `write` per record; the handle
+//! closes when the segment rolls or the log is dropped. That makes the
+//! log **single-writer**: a second live `CommitLog` on the same
+//! directory is unsupported, because its recovery truncates a damaged
+//! segment by writing a copy and renaming it over the name, which would
+//! leave the first log's handle appending to the old, unlinked inode.
+//!
 //! Opening a log runs recovery ([`CommitLog::open`]): segments are
 //! walked frame by frame in name order, record offsets are checked to
 //! chain contiguously, and the first damaged byte ends the valid
@@ -49,7 +58,7 @@ use vup_serve::frame::{
     decode_frame_exact, decode_versioned_frame_at, encode_frame, encode_frame_into, retry_io,
     FrameDefect, HEADER_LEN,
 };
-use vup_serve::StorageBackend;
+use vup_serve::{AppendTarget, StorageBackend};
 
 /// First four bytes of every log-segment frame.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"VUPL";
@@ -408,8 +417,9 @@ pub struct CommitLog {
     metrics: IngestMetrics,
     /// Surviving segments in offset order; the last one is active.
     segments: Vec<SegmentState>,
-    /// Path of the active (last) segment, so appends build none.
-    active_path: PathBuf,
+    /// The active (last) segment's append target: its path, and its
+    /// file handle once the first append opened it.
+    active: AppendTarget,
     /// Scratch buffer each append frames its record into.
     frame: Vec<u8>,
     /// Offset the next append receives.
@@ -459,7 +469,7 @@ impl CommitLog {
             options,
             metrics: IngestMetrics::register(registry),
             segments: Vec::new(),
-            active_path: PathBuf::new(),
+            active: AppendTarget::new(PathBuf::new()),
             frame: Vec::with_capacity(MAX_FRAME_LEN),
             next_offset: 0,
         };
@@ -751,8 +761,9 @@ impl CommitLog {
 
     /// Appends one report, returning the offset it was assigned.
     ///
-    /// O(1) in log size: one framed positional append to the active
-    /// segment, plus a seal + roll when the segment is full. A torn
+    /// O(1) in log size: one framed append to the active segment —
+    /// through the segment's held-open handle on the real filesystem —
+    /// plus a seal + roll when the segment is full. A torn
     /// append (injected or a real crash) leaves a damaged tail that
     /// the next [`CommitLog::open`] truncates away. The record is
     /// framed into a buffer the log keeps, so an append that does not
@@ -770,7 +781,7 @@ impl CommitLog {
         if roll {
             self.seal_active(offset);
         }
-        let (res, retries) = retry_io(|| self.backend.append(&self.active_path, &self.frame));
+        let (res, retries) = retry_io(|| self.backend.append_to(&mut self.active, &self.frame));
         self.metrics.io_retries.add(retries);
         res?;
         let frame_len = self.frame.len() as u64;
@@ -812,9 +823,10 @@ impl CommitLog {
         self.activate_last();
     }
 
-    /// Makes the last segment the append target: caches its path and
-    /// reserves index entries for a full segment of the smallest
-    /// frames, so appends until the next roll never grow them.
+    /// Makes the last segment the append target — replacing the old
+    /// target closes the previous segment's handle — and reserves index
+    /// entries for a full segment of the smallest frames, so appends
+    /// until the next roll never grow them.
     fn activate_last(&mut self) {
         let per_segment = (self.options.max_segment_bytes / MIN_FRAME_LEN + 1)
             .div_ceil(self.options.index_every.max(1))
@@ -823,12 +835,13 @@ impl CommitLog {
         active
             .entries
             .reserve(per_segment.saturating_sub(active.entries.len()));
-        self.active_path = self.dir.join(Self::segment_name(active.first_offset));
+        self.active = AppendTarget::new(self.dir.join(Self::segment_name(active.first_offset)));
     }
 
     /// Reads every record from `offset` (inclusive) to the log's end,
     /// seeking into the containing segment through its offset index
-    /// when one is on disk.
+    /// when one is on disk and `offset` is past the segment's first
+    /// record.
     pub fn read_from(&self, offset: u64) -> io::Result<Vec<LogRecord>> {
         let mut records = Vec::new();
         let start = self
@@ -842,8 +855,9 @@ impl CommitLog {
             self.metrics.io_retries.add(r);
             let bytes = read?;
             // Seek via the on-disk index for the segment containing
-            // `offset`; later segments are read from byte zero anyway.
-            let mut at = if i == start {
+            // `offset`, unless `offset` is its first record; later
+            // segments are read from byte zero anyway.
+            let mut at = if i == start && offset > segment.first_offset {
                 self.seek_pos(segment, offset)
             } else {
                 0
@@ -922,6 +936,7 @@ impl CommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
     use vup_obs::{Registry, Tracer};
     use vup_serve::DiskBackend;
 
@@ -959,6 +974,164 @@ mod tests {
             &Tracer::disabled(),
         )
         .unwrap()
+    }
+
+    /// File names a [`Recording`] backend saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Every file read, in order.
+        reads: Vec<String>,
+        /// Every append that found its target closed, so opened the file.
+        opens: Vec<String>,
+    }
+
+    /// `DiskBackend`, noting what it reads and opens for appending.
+    struct Recording(Arc<Mutex<Seen>>);
+
+    fn file_name(path: &Path) -> String {
+        path.file_name().unwrap().to_string_lossy().into_owned()
+    }
+
+    impl StorageBackend for Recording {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.0.lock().unwrap().reads.push(file_name(path));
+            DiskBackend.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            DiskBackend.write(path, bytes)
+        }
+        fn append_to(&self, target: &mut AppendTarget, bytes: &[u8]) -> io::Result<()> {
+            if !target.is_open() {
+                self.0.lock().unwrap().opens.push(file_name(target.path()));
+            }
+            DiskBackend.append_to(target, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            DiskBackend.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            DiskBackend.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            DiskBackend.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            DiskBackend.create_dir_all(dir)
+        }
+    }
+
+    fn open_recording(dir: &Path, options: LogOptions) -> (CommitLog, Arc<Mutex<Seen>>) {
+        open_recording_in(dir, options, |recording| Box::new(recording))
+    }
+
+    /// Opens a log on a [`Recording`] backend that `wrap` may decorate.
+    fn open_recording_in(
+        dir: &Path,
+        options: LogOptions,
+        wrap: impl Fn(Recording) -> Box<dyn StorageBackend>,
+    ) -> (CommitLog, Arc<Mutex<Seen>>) {
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let (log, _) = CommitLog::open(
+            wrap(Recording(Arc::clone(&seen))),
+            dir,
+            options,
+            &Registry::disabled(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        (log, seen)
+    }
+
+    fn segment_names(log: &CommitLog) -> Vec<String> {
+        log.segments
+            .iter()
+            .map(|s| CommitLog::segment_name(s.first_offset))
+            .collect()
+    }
+
+    #[test]
+    fn appends_open_each_segment_once_and_keep_it_open_until_the_roll() {
+        let dir = temp_dir("handle");
+        let options = LogOptions {
+            max_segment_bytes: 600,
+            index_every: 2,
+        };
+        // The fault injector passes the held handle through as well.
+        let faulty = temp_dir("handle-faulty");
+        let (mut log, seen) = open_recording_in(&faulty, options.clone(), |recording| {
+            Box::new(vup_serve::FaultyBackend::new(
+                Box::new(recording),
+                7,
+                vup_serve::DiskFaultPlan::default(),
+            ))
+        });
+        for i in 0..40u64 {
+            log.append(0, &report(17000, i as u16)).unwrap();
+        }
+        assert_eq!(seen.lock().unwrap().opens, segment_names(&log));
+
+        let (mut log, seen) = open_recording(&dir, options.clone());
+        for i in 0..40u64 {
+            log.append(0, &report(17000, i as u16)).unwrap();
+        }
+        assert!(log.segment_count() > 2, "expected several rolls");
+        assert_eq!(seen.lock().unwrap().opens, segment_names(&log));
+        drop(log);
+
+        // After a reopen, appends resume in the recovered active segment
+        // and open it once more, then each segment they roll into once.
+        let (mut log, seen) = open_recording(&dir, options);
+        let active = log.segment_count() - 1;
+        for i in 40..60u64 {
+            log.append(0, &report(17001, i as u16)).unwrap();
+        }
+        assert!(log.segment_count() > active + 2);
+        assert_eq!(seen.lock().unwrap().opens, segment_names(&log)[active..]);
+    }
+
+    #[test]
+    fn reads_from_a_segment_start_skip_the_index_and_mid_segment_reads_seek() {
+        let dir = temp_dir("seek");
+        let options = LogOptions {
+            max_segment_bytes: 600,
+            index_every: 2,
+        };
+        {
+            let (mut log, _) = open(&dir, options.clone());
+            for i in 0..12u64 {
+                log.append(0, &report(17000, i as u16)).unwrap();
+            }
+        }
+        let (log, seen) = open_recording(&dir, options);
+        assert!(
+            log.segment_count() > 1,
+            "offset 3 must sit in a sealed segment"
+        );
+        assert!(log.segments[1].first_offset > 3);
+        seen.lock().unwrap().reads.clear();
+
+        assert_eq!(log.records().unwrap().len(), 12);
+        let reads = std::mem::take(&mut seen.lock().unwrap().reads);
+        assert_eq!(reads, segment_names(&log), "records() reads no index");
+
+        let tail = log.read_from(3).unwrap();
+        assert_eq!(
+            tail.iter().map(|r| r.offset).collect::<Vec<_>>(),
+            (3..12).collect::<Vec<_>>()
+        );
+        let reads = std::mem::take(&mut seen.lock().unwrap().reads);
+        let indexes: Vec<&String> = reads.iter().filter(|n| n.ends_with(INDEX_EXT)).collect();
+        assert_eq!(indexes, [&CommitLog::index_name(0)]);
+
+        // The seek really skips the bytes before offset 3's index entry:
+        // with the first frame damaged, reading from 3 still succeeds
+        // while reading from the start fails on the damage.
+        let seg = dir.join(CommitLog::segment_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[HEADER_LEN] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        assert_eq!(log.read_from(3).unwrap(), tail);
+        assert!(log.records().is_err());
     }
 
     fn invariant(stats: &LogRecovery) {

@@ -13,9 +13,17 @@
 //!   clean;
 //! - the binary record codec round-trips every report bit for bit, and
 //!   a checksum-valid frame whose record layout is wrong is quarantined
-//!   as `decode`.
+//!   as `decode`;
+//! - appending through the held-open segment handle leaves exactly the
+//!   bytes per-call appends (open + write + close) leave, under the same
+//!   seeded faults, and recovers to an equal report;
+//! - a crash at every mutating I/O op of an append + seal + roll run
+//!   recovers every acknowledged record with balanced byte accounting.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use vup_fleetsim::canbus::RawReport;
@@ -24,7 +32,7 @@ use vup_ingest::log::{
 };
 use vup_obs::{Registry, Tracer};
 use vup_serve::frame::{decode_frame_at, encode_frame};
-use vup_serve::{DiskBackend, DiskFaultPlan, FaultyBackend};
+use vup_serve::{AppendTarget, DiskBackend, DiskFaultPlan, FaultyBackend, StorageBackend};
 
 fn temp_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vup-logprop-{tag}-{case}-{}", std::process::id()));
@@ -184,8 +192,248 @@ fn assert_contract(
     stats.frames_recovered
 }
 
+/// Its inner backend with the trait's default `append_to`: every append
+/// goes through the inner `append` by path, so over a `FaultyBackend`
+/// each record takes the per-call fault path and an open + write +
+/// close. The reference the held-open handle must match.
+struct PerCallAppends(Box<dyn StorageBackend>);
+
+impl StorageBackend for PerCallAppends {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.0.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.0.write(path, bytes)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.0.append(path, bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.0.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.0.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.0.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.0.create_dir_all(dir)
+    }
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
+/// What a [`CrashAt`] backend does with one mutating op.
+enum Fate {
+    Runs,
+    Crashes,
+    Dead,
+}
+
+/// `DiskBackend` killed at mutating op `crash_at` (appends, writes,
+/// renames and removes counted together, in issue order): that op lands
+/// only its first `keep` bytes (a rename or remove does not happen), and
+/// it and every later op fail, as if the process died there.
+struct CrashAt {
+    crash_at: u64,
+    keep: usize,
+    ops: AtomicU64,
+}
+
+impl CrashAt {
+    fn fate(&self) -> Fate {
+        match self.ops.fetch_add(1, Ordering::Relaxed).cmp(&self.crash_at) {
+            std::cmp::Ordering::Less => Fate::Runs,
+            std::cmp::Ordering::Equal => Fate::Crashes,
+            std::cmp::Ordering::Greater => Fate::Dead,
+        }
+    }
+}
+
+fn killed() -> io::Error {
+    io::Error::other("process killed")
+}
+
+impl StorageBackend for CrashAt {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        DiskBackend.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        match self.fate() {
+            Fate::Runs => DiskBackend.write(path, bytes),
+            Fate::Crashes => {
+                DiskBackend.write(path, &bytes[..self.keep.min(bytes.len())])?;
+                Err(killed())
+            }
+            Fate::Dead => Err(killed()),
+        }
+    }
+    fn append_to(&self, target: &mut AppendTarget, bytes: &[u8]) -> io::Result<()> {
+        match self.fate() {
+            Fate::Runs => DiskBackend.append_to(target, bytes),
+            Fate::Crashes => {
+                DiskBackend.append_to(target, &bytes[..self.keep.min(bytes.len())])?;
+                Err(killed())
+            }
+            Fate::Dead => Err(killed()),
+        }
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        match self.fate() {
+            Fate::Runs => DiskBackend.rename(from, to),
+            Fate::Crashes | Fate::Dead => Err(killed()),
+        }
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        match self.fate() {
+            Fate::Runs => DiskBackend.remove(path),
+            Fate::Crashes | Fate::Dead => Err(killed()),
+        }
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        DiskBackend.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        DiskBackend.create_dir_all(dir)
+    }
+}
+
+/// Crash at every mutating op of an append + seal + roll run, landing
+/// none, one, a header's worth or most of a frame's bytes of the op the
+/// crash hits: recovery balances every byte and keeps exactly the
+/// records whose appends returned `Ok`.
+#[test]
+fn a_crash_at_every_io_op_recovers_every_acknowledged_record() {
+    // About two frames per segment, so ten appends seal and roll often.
+    let options = LogOptions {
+        max_segment_bytes: 200,
+        index_every: 1,
+    };
+    let appends = 10_u64;
+    for keep in [0_usize, 1, 17, 60] {
+        let mut crashes = 0;
+        for crash_at in 0_u64.. {
+            let dir = temp_dir("crash", crash_at << 8 | keep as u64);
+            let backend = CrashAt {
+                crash_at,
+                keep,
+                ops: AtomicU64::new(0),
+            };
+            let (mut log, _) = CommitLog::open(
+                Box::new(backend),
+                &dir,
+                options.clone(),
+                &Registry::disabled(),
+                &Tracer::disabled(),
+            )
+            .unwrap();
+            let mut written = Vec::new();
+            for i in 0..appends {
+                let r = report(i);
+                if log.append((i % 3) as u32, &r).is_err() {
+                    break;
+                }
+                written.push(((i % 3) as u32, r));
+            }
+            let rolls = log.segment_count();
+            drop(log);
+            let recovered = assert_contract(&dir, &options, &written);
+            assert_eq!(
+                recovered,
+                written.len() as u64,
+                "crash at op {crash_at} keeping {keep} bytes"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            if written.len() as u64 == appends {
+                // `crash_at` is past the last op: the run is done.
+                assert!(rolls > 3, "the run must seal and roll");
+                break;
+            }
+            crashes += 1;
+        }
+        // Ten appends plus an index write and rename per seal.
+        assert!(crashes > appends, "only {crashes} crash points");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The held-open segment handle changes how bytes reach the disk,
+    /// not which: under the same seeded faults (torn appends, transient
+    /// errors, a filling disk) and rolls, it leaves the same files, byte
+    /// for byte, as appends that open and close the file each time, and
+    /// both recover to the same report.
+    #[test]
+    fn held_open_appends_match_per_call_appends_byte_for_byte(
+        seed in 0_u64..1_000,
+        n in 1_usize..60,
+        torn_rate in prop_oneof![Just(0.0), Just(0.1), Just(0.3)],
+        torn_byte in 0_u64..40,
+        io_rate in prop_oneof![Just(0.0), Just(0.2)],
+        full_disk in prop_oneof![Just(None), (0_u64..6_000).prop_map(Some)],
+        segment_bytes in prop_oneof![Just(300_u64), Just(1_000_u64), Just(64 * 1024_u64)],
+    ) {
+        let case = seed ^ (n as u64) << 10;
+        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 3 };
+        let plan = DiskFaultPlan {
+            torn_write_rate: torn_rate,
+            torn_write_byte: torn_byte,
+            io_error_rate: io_rate,
+            io_error_attempts: 2,
+            full_disk_after_bytes: full_disk,
+            ..DiskFaultPlan::default()
+        };
+        let faulty = || Box::new(FaultyBackend::new(Box::new(DiskBackend), seed, plan.clone()));
+        let run = |tag: &str, backend: Box<dyn StorageBackend>| {
+            let dir = temp_dir(tag, case);
+            let (mut log, _) = CommitLog::open(
+                backend,
+                &dir,
+                options.clone(),
+                &Registry::disabled(),
+                &Tracer::disabled(),
+            ).unwrap();
+            // Keep appending past a failure: later appends must fail or
+            // land identically too.
+            let acked: Vec<bool> = (0..n as u64)
+                .map(|i| log.append((i % 4) as u32, &report(i)).is_ok())
+                .collect();
+            (dir, acked)
+        };
+        let (held, held_acked) = run("held", faulty());
+        let (per_call, per_call_acked) = run("percall", Box::new(PerCallAppends(faulty())));
+        prop_assert_eq!(held_acked, per_call_acked);
+        prop_assert_eq!(dir_bytes(&held), dir_bytes(&per_call));
+
+        let (_, held_stats) = open_clean(&held, options.clone());
+        let (_, per_call_stats) = open_clean(&per_call, options.clone());
+        prop_assert_eq!(
+            held_stats.bytes_seen,
+            held_stats.bytes_recovered + held_stats.bytes_quarantined
+        );
+        prop_assert_eq!(held_stats, per_call_stats);
+        prop_assert_eq!(dir_bytes(&held), dir_bytes(&per_call));
+        let _ = std::fs::remove_dir_all(&held);
+        let _ = std::fs::remove_dir_all(&per_call);
+    }
 
     /// Seeded disk chaos during appends: torn appends leave mid-log
     /// damage, transient io errors exercise the retry path. Whatever

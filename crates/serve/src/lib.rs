@@ -42,8 +42,9 @@ pub use frame::{
     MAX_IO_ATTEMPTS,
 };
 pub use persist::{
-    audit, bump_generation, parse_snapshot_name, verify_snapshot, AuditEntry, DiskBackend,
-    FaultyBackend, QuarantinedFile, RecoveryStats, SnapshotDefect, SnapshotStore, StorageBackend,
+    audit, bump_generation, parse_snapshot_name, verify_snapshot, AppendTarget, AuditEntry,
+    DiskBackend, FaultyBackend, QuarantinedFile, RecoveryStats, SnapshotDefect, SnapshotStore,
+    StorageBackend,
 };
 pub use resilience::{
     splitmix64, BreakerConfig, BreakerDecision, BreakerState, BreakerTransition, CircuitBreaker,

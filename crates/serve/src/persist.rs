@@ -133,9 +133,42 @@ struct SnapshotPayload {
     predictor: SavedPredictor,
 }
 
+/// A file the caller appends to again and again — the commit log's
+/// active segment — plus, once a backend has opened it, the open handle,
+/// so a backend that keeps it spends one `write` per append instead of
+/// open + write + close. Dropping the target closes the handle.
+#[derive(Debug)]
+pub struct AppendTarget {
+    path: PathBuf,
+    file: Option<std::fs::File>,
+}
+
+impl AppendTarget {
+    /// A target for `path`; nothing is opened until the first append.
+    pub fn new(path: PathBuf) -> AppendTarget {
+        AppendTarget { path, file: None }
+    }
+
+    /// The file appends go to.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Whether a backend holds the file open in this target.
+    pub fn is_open(&self) -> bool {
+        self.file.is_some()
+    }
+}
+
 /// The storage operations the snapshot store needs — the seam through
 /// which disk faults are injected. Implementations must behave like a
 /// POSIX filesystem: `rename` within the store directory is atomic.
+///
+/// [`StorageBackend::append_to`] may keep a file open in its
+/// [`AppendTarget`] between calls. That handle follows the inode, not
+/// the name: whoever holds the target must be the file's only writer,
+/// and must drop the target before anything renames over or truncates
+/// the file (the commit log's single-writer contract).
 pub trait StorageBackend: Send + Sync {
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
@@ -153,6 +186,12 @@ pub trait StorageBackend: Send + Sync {
         };
         existing.extend_from_slice(bytes);
         self.write(path, &existing)
+    }
+    /// Appends `bytes` to `target`'s file, creating it if absent. A
+    /// backend may open the file once and keep the handle in `target`
+    /// for later calls; the default appends by path every time.
+    fn append_to(&self, target: &mut AppendTarget, bytes: &[u8]) -> io::Result<()> {
+        self.append(target.path(), bytes)
     }
     /// Atomically renames `from` onto `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -178,12 +217,28 @@ impl StorageBackend for DiskBackend {
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.append_to(&mut AppendTarget::new(path.to_path_buf()), bytes)
+    }
+
+    /// Opens the file on the first append and writes through the kept
+    /// handle after that. Any error drops the handle, so a retry reopens
+    /// the file as a fresh append would.
+    fn append_to(&self, target: &mut AppendTarget, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(bytes)
+        let file = match &mut target.file {
+            Some(file) => file,
+            None => target.file.insert(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&target.path)?,
+            ),
+        };
+        let written = file.write_all(bytes);
+        if written.is_err() {
+            target.file = None;
+        }
+        written
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -310,6 +365,31 @@ impl FaultyBackend {
         Ok(op)
     }
 
+    /// Runs every fault decision for one append of `len` bytes to
+    /// `path` — transient error, full disk, tear — and returns how many
+    /// of the bytes reach the disk. Both append entry points go through
+    /// it, so they consume the same decision streams.
+    fn admit_append(&self, path: &Path, len: usize) -> io::Result<usize> {
+        let name = Self::name_of(path);
+        let op = self.admit(OP_APPEND, &name)?;
+        if let Some(budget) = self.plan.full_disk_after_bytes {
+            let before = self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
+            if before + len as u64 > budget {
+                return Err(io::Error::other(format!(
+                    "injected full disk appending to {name}"
+                )));
+            }
+        }
+        if self.plan.torn_write_rate > 0.0
+            && self.unit(SALT_TORN ^ u64::from(OP_APPEND), &name, op) < self.plan.torn_write_rate
+        {
+            // A torn append *silently succeeds* with only a prefix of
+            // this chunk on disk — what a kill -9 mid-append leaves.
+            return Ok((self.plan.torn_write_byte as usize).min(len));
+        }
+        Ok(len)
+    }
+
     /// Whether this file's reads come back bit-flipped (a pure function
     /// of the file name, so every read sees the same damage).
     fn flips(&self, name: &str) -> bool {
@@ -355,27 +435,13 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let name = Self::name_of(path);
-        let op = self.admit(OP_APPEND, &name)?;
-        if let Some(budget) = self.plan.full_disk_after_bytes {
-            let before = self
-                .bytes_written
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            if before + bytes.len() as u64 > budget {
-                return Err(io::Error::other(format!(
-                    "injected full disk appending to {name}"
-                )));
-            }
-        }
-        if self.plan.torn_write_rate > 0.0
-            && self.unit(SALT_TORN ^ u64::from(OP_APPEND), &name, op) < self.plan.torn_write_rate
-        {
-            // A torn append *silently succeeds* with only a prefix of
-            // this chunk on disk — what a kill -9 mid-append leaves.
-            let k = (self.plan.torn_write_byte as usize).min(bytes.len());
-            return self.inner.append(path, &bytes[..k]);
-        }
-        self.inner.append(path, bytes)
+        let k = self.admit_append(path, bytes.len())?;
+        self.inner.append(path, &bytes[..k])
+    }
+
+    fn append_to(&self, target: &mut AppendTarget, bytes: &[u8]) -> io::Result<()> {
+        let k = self.admit_append(target.path(), bytes.len())?;
+        self.inner.append_to(target, &bytes[..k])
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

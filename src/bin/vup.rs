@@ -234,6 +234,21 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
+/// Flags [`build_fleet`] reads.
+const FLEET_FLAGS: &[&str] = &["vehicles", "seed"];
+/// Flags [`parse_service_flags`] reads.
+const SERVICE_FLAGS: &[&str] = &[
+    "threads",
+    "model",
+    "retry-max",
+    "deadline-ms",
+    "fallback",
+    "faults",
+    "store-dir",
+];
+/// Flags [`open_commit_log`] reads.
+const LOG_FLAGS: &[&str] = &["dir", "faults", "segment-bytes", "index-every"];
+
 /// Rejects any flag outside `known`, so a removed or misspelt flag fails
 /// instead of being silently ignored.
 fn reject_unknown_flags(flags: &HashMap<String, String>, known: &[&str]) -> Result<(), String> {
@@ -368,6 +383,7 @@ fn build_fleet(flags: &HashMap<String, String>) -> Result<Fleet, String> {
 }
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(flags, &[FLEET_FLAGS, &["id", "days"]].concat())?;
     let fleet = build_fleet(flags)?;
     let id = VehicleId(flag(flags, "id", 0_u32)?);
     let days: usize = flag(flags, "days", 60)?;
@@ -399,6 +415,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(flags, &[FLEET_FLAGS, &["id"]].concat())?;
     let fleet = build_fleet(flags)?;
     let id = VehicleId(flag(flags, "id", 0_u32)?);
     fleet.vehicle(id).ok_or_else(|| {
@@ -437,6 +454,14 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            &["n", "scenario", "metrics", "trace", "profile"],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     let n: usize = flag(flags, "n", 10)?;
     let scenario = parse_scenario(flags)?;
@@ -584,6 +609,22 @@ impl MonitorJson {
 }
 
 fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            &[
+                "n",
+                "scenario",
+                "model",
+                "window",
+                "baseline-window",
+                "metrics",
+                "json",
+            ],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     let n: usize = flag(flags, "n", 10)?;
     let scenario = parse_scenario(flags)?;
@@ -685,6 +726,7 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_levels(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(flags, &[FLEET_FLAGS, &["id"]].concat())?;
     let fleet = build_fleet(flags)?;
     let id = VehicleId(flag(flags, "id", 0_u32)?);
     fleet.vehicle(id).ok_or_else(|| {
@@ -943,6 +985,17 @@ fn print_outcomes(outcomes: &[ServeOutcome], tally: &mut OutcomeTally) {
 }
 
 fn cmd_serve_batch(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            SERVICE_FLAGS,
+            &[
+                "n", "ids", "horizon", "repeat", "shards", "journal", "metrics", "trace", "profile",
+            ],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     let n: usize = flag(flags, "n", 5)?;
     let horizon: usize = flag(flags, "horizon", 3)?;
@@ -1096,6 +1149,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use vehicle_usage_prediction::core::executor::CancelToken;
     use vehicle_usage_prediction::net::{signal, AppHandler, Server, ServerConfig};
 
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            SERVICE_FLAGS,
+            &["addr", "workers", "queue", "max-batch"],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     // The daemon always meters: /metrics serves this registry live.
     let registry = Registry::new();
@@ -1159,6 +1221,20 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     use vehicle_usage_prediction::net::loadgen::{self, LoadPlan};
 
+    reject_unknown_flags(
+        flags,
+        &[
+            "addr",
+            "clients",
+            "requests",
+            "duration-ms",
+            "batch",
+            "pool",
+            "horizon",
+            "seed",
+            "out",
+        ],
+    )?;
     let Some(addr) = flags.get("addr").cloned() else {
         return Err(
             "loadgen needs --addr HOST:PORT (scrape `vup serve`'s 'listening on' line)".into(),
@@ -1289,6 +1365,7 @@ fn cmd_store_verify(rest: &[String]) -> Result<(), String> {
 /// so a million vehicles cost O(shards) memory) and report the balance
 /// plus the N→N+1 remap volume.
 fn cmd_shard_eval(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(flags, &[FLEET_FLAGS, &["shards", "json"]].concat())?;
     let vehicles: usize = flag(flags, "vehicles", 1_000_000)?;
     let seed: u64 = flag(flags, "seed", 7)?;
     let shards: u32 = flag(flags, "shards", 8)?;
@@ -1414,6 +1491,7 @@ fn cmd_shard_rebalance(rest: &[String]) -> Result<(), String> {
         return Err(usage.into());
     }
     let flags = parse_flags(tail)?;
+    reject_unknown_flags(&flags, &["from", "to", "json"]).map_err(|e| format!("{e} ({usage})"))?;
     let from: u32 = flag(&flags, "from", 0)?;
     let to: u32 = flag(&flags, "to", 0)?;
     if from == 0 || to == 0 {
@@ -1528,6 +1606,22 @@ fn open_commit_log(
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     use vehicle_usage_prediction::fleetsim::dropout::DropoutConfig;
 
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            LOG_FLAGS,
+            &[
+                "days",
+                "start-day",
+                "shift-vehicle",
+                "shift-day",
+                "shift-factor",
+                "stats",
+            ],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     let days: usize = flag(flags, "days", 14)?;
     let start_offset: usize = flag(flags, "start-day", 0)?;
@@ -1570,6 +1664,29 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `vup replay` — deterministically re-run aggregation + drift-triggered
 /// retraining over a commit-log prefix.
 fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
+    reject_unknown_flags(
+        flags,
+        &[
+            FLEET_FLAGS,
+            LOG_FLAGS,
+            &[
+                "threads",
+                "scenario",
+                "model",
+                "train-window",
+                "retrain-every",
+                "max-lag",
+                "window",
+                "baseline-window",
+                "limit",
+                "report",
+                "metrics",
+                "trace",
+                "profile",
+            ],
+        ]
+        .concat(),
+    )?;
     let fleet = build_fleet(flags)?;
     let threads: usize = flag(flags, "threads", 0)?;
     let scenario = parse_scenario(flags)?;

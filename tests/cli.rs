@@ -1057,6 +1057,28 @@ fn replay_after_mid_segment_kill_reports_recovery_and_is_deterministic() {
 }
 
 #[test]
+fn subcommands_reject_flags_they_do_not_read() {
+    let out = vup()
+        .args(["evaluate", "--vehicles", "4", "--n", "1", "--bogus", "1"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "an unknown evaluate flag must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
+
+    // A misspelt ingest flag fails before the log directory is touched.
+    let dir = std::env::temp_dir().join(format!("vup_cli_misspelt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = vup()
+        .args(["ingest", "--dir", dir.to_str().unwrap(), "--vehicles", "2"])
+        .args(["--days", "1", "--segment-byte", "4000"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "an unknown ingest flag must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --segment-byte"));
+    assert!(!dir.exists(), "no log may be opened after a flag error");
+}
+
+#[test]
 fn ingest_and_replay_validate_their_flags() {
     let out = vup().arg("ingest").output().expect("binary runs");
     assert!(!out.status.success());
