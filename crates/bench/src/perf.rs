@@ -59,7 +59,8 @@ const SERVE_TRAJECTORY: &str = "BENCH_serve.json";
 pub struct BenchStamp {
     /// Hex FNV-1a fingerprint of the pipeline config the workload ran.
     pub config_fingerprint: String,
-    /// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
+    /// `git rev-parse --short HEAD`, with `-dirty` appended when tracked
+    /// files have uncommitted changes, or `"unknown"` outside a checkout.
     pub git_rev: String,
     /// `release` or `debug`.
     pub build_profile: String,
@@ -224,17 +225,34 @@ fn stamp(config: &PipelineConfig, threads: usize, quick: bool) -> BenchStamp {
     }
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"`.
+/// The [`BenchStamp::git_rev`] of the working directory's checkout.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+    git_rev_in(Path::new("."))
+}
+
+/// `git rev-parse --short HEAD` in `dir`, plus `-dirty` when tracked
+/// files differ from it (untracked build output does not count), or
+/// `"unknown"` outside a checkout.
+fn git_rev_in(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .current_dir(dir)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
         .map(|rev| rev.trim().to_string())
         .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.trim().is_empty() => format!("{rev}-dirty"),
+        _ => rev,
+    }
 }
 
 fn ms(elapsed: std::time::Duration) -> f64 {
@@ -823,6 +841,45 @@ mod tests {
         assert_eq!(std::fs::read(&core).unwrap(), core_before);
         assert_eq!(std::fs::read(&ingest).unwrap(), ingest_before);
         assert!(!dir.join("BENCH_profile_fleet_eval.collapsed").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn git_rev_marks_uncommitted_tracked_changes_dirty() {
+        let dir = std::env::temp_dir().join(format!("vup-bench-rev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(git_rev_in(&dir.join("missing")), "unknown");
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git")
+                .current_dir(&dir)
+                .args([
+                    "-c",
+                    "user.name=bench",
+                    "-c",
+                    "user.email=bench@example.com",
+                ])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "git {args:?}: {out:?}");
+            String::from_utf8(out.stdout).unwrap().trim().to_string()
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("tracked.txt"), "one").unwrap();
+        git(&["add", "tracked.txt"]);
+        git(&["commit", "-q", "-m", "first"]);
+        let head = git(&["rev-parse", "--short", "HEAD"]);
+        assert_eq!(git_rev_in(&dir), head);
+        // Untracked files leave the tree clean …
+        std::fs::write(dir.join("BENCH_core.json"), "{}").unwrap();
+        assert_eq!(git_rev_in(&dir), head);
+        // … an edit to a tracked file does not, staged or not.
+        std::fs::write(dir.join("tracked.txt"), "two").unwrap();
+        assert_eq!(git_rev_in(&dir), format!("{head}-dirty"));
+        git(&["add", "tracked.txt"]);
+        assert_eq!(git_rev_in(&dir), format!("{head}-dirty"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,10 +19,10 @@
 //!
 //! A segment is *sealed* once it reaches
 //! [`LogOptions::max_segment_bytes`]; sealing writes a sparse offset
-//! index (`seg-<first-offset>.vidx`, `VUPI` magic, still JSON, atomic
-//! temp-file + rename) so later reads can seek into the middle of the
-//! log without scanning from byte zero. The index is a rebuildable
-//! cache: losing or corrupting it never loses data.
+//! index (`seg-<first-offset>.vidx`, `VUPI` magic, still JSON) so later
+//! reads can seek into the middle of the log without scanning from byte
+//! zero. The index is a rebuildable cache: losing or corrupting it never
+//! loses data.
 //!
 //! All I/O goes through the [`StorageBackend`] seam from `vup-serve`,
 //! so the seeded [`vup_serve::FaultyBackend`] disk chaos (torn appends,
@@ -46,6 +46,13 @@
 //! and any later segment is quarantined wholesale as orphaned. The
 //! resulting [`LogRecovery`] accounts for every byte:
 //! `bytes_seen == bytes_recovered + bytes_quarantined`.
+//!
+//! Whole-file writes use the snapshot store's crash-safe file protocol
+//! from [`vup_serve::frame`], not a copy of it: index files and the
+//! truncate-on-recovery go through [`atomic_replace`] (`<name>.tmp`,
+//! then a rename over the name), and damaged or orphaned files through
+//! [`quarantine_move`]. Only appends bypass it — a torn append is what
+//! recovery's truncation repairs.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -55,8 +62,8 @@ use serde::{Deserialize, Serialize};
 use vup_fleetsim::canbus::RawReport;
 use vup_obs::{Counter, Registry, Tracer};
 use vup_serve::frame::{
-    decode_frame_exact, decode_versioned_frame_at, encode_frame, encode_frame_into, retry_io,
-    FrameDefect, HEADER_LEN,
+    atomic_replace, decode_frame_exact, decode_versioned_frame_at, encode_frame, encode_frame_into,
+    file_name, quarantine_move, quarantine_path, retry_io, FrameDefect, HEADER_LEN, TMP_SUFFIX,
 };
 use vup_serve::{AppendTarget, StorageBackend};
 
@@ -75,10 +82,7 @@ pub const INDEX_VERSION: u16 = 1;
 pub const SEGMENT_EXT: &str = "vlog";
 /// Extension of offset-index files.
 pub const INDEX_EXT: &str = "vidx";
-/// Suffix of in-flight temp files (atomic-rename protocol).
-const TMP_SUFFIX: &str = ".tmp";
-/// Subdirectory quarantined files are moved into.
-pub const QUARANTINE_DIR: &str = "quarantine";
+pub use vup_serve::frame::QUARANTINE_DIR;
 
 /// One telemetry record as it sits in the log: a monotone offset, the
 /// reporting vehicle, and the raw 10-minute CAN report.
@@ -482,10 +486,7 @@ impl CommitLog {
         let mut segment_files: Vec<(u64, String)> = Vec::new();
         let mut index_files: BTreeMap<u64, String> = BTreeMap::new();
         for path in listed? {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
+            let name = file_name(&path);
             if name.ends_with(TMP_SUFFIX) {
                 log.quarantine_file(&path, &name, LogDefect::Tmp, &mut stats);
                 continue;
@@ -659,21 +660,15 @@ impl CommitLog {
         (state, at as u64, defect)
     }
 
-    /// Moves a whole file into `quarantine/<name>.<defect>` and records
-    /// it. Best effort — an unmovable file stays put and the next open
-    /// retries.
+    /// Moves a whole file into `quarantine/<name>.<defect>` with
+    /// [`quarantine_move`] and records it.
     fn quarantine_file(&self, path: &Path, name: &str, defect: LogDefect, stats: &mut LogRecovery) {
         let (read, r) = retry_io(|| self.backend.read(path));
         stats.io_retries += r;
         let len = read.map_or(0, |b| b.len() as u64);
         stats.bytes_seen += len;
-        let dest = self
-            .dir
-            .join(QUARANTINE_DIR)
-            .join(format!("{name}.{}", defect.as_str()));
-        let (res, r) = retry_io(|| self.backend.rename(path, &dest));
+        let (_, r) = quarantine_move(self.backend.as_ref(), path, defect.as_str());
         stats.io_retries += r;
-        let _ = res;
         stats.bytes_quarantined += len;
         self.metrics.bytes_quarantined.add(len);
         stats.quarantined.push(QuarantinedLogFile {
@@ -694,37 +689,20 @@ impl CommitLog {
         defect: LogDefect,
         stats: &mut LogRecovery,
     ) {
-        let path = self.dir.join(name);
         let tail = &bytes[valid_len..];
-        let dest = self
-            .dir
-            .join(QUARANTINE_DIR)
-            .join(format!("{name}.{}", defect.as_str()));
+        let backend = self.backend.as_ref();
         if valid_len == 0 {
             // No valid frame: the whole file is the damaged tail.
-            let (res, r) = retry_io(|| self.backend.rename(&path, &dest));
+            let (_, r) = quarantine_move(backend, &self.dir.join(name), defect.as_str());
             stats.io_retries += r;
-            let _ = res;
         } else {
-            let (res, r) = retry_io(|| self.backend.write(&dest, tail));
+            let dest = quarantine_path(&self.dir, name, defect.as_str());
+            let (_, r) = retry_io(|| backend.write(&dest, tail));
             stats.io_retries += r;
-            let _ = res;
-            // Truncate via the atomic protocol; a failure here is
-            // tolerated — the next open re-truncates the same prefix.
-            let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
-            let mut retries = 0;
-            let result = (|| {
-                let (res, r) = retry_io(|| self.backend.write(&tmp, &bytes[..valid_len]));
-                retries += r;
-                res?;
-                let (res, r) = retry_io(|| self.backend.rename(&tmp, &path));
-                retries += r;
-                res
-            })();
-            stats.io_retries += retries;
-            if result.is_err() {
-                let _ = self.backend.remove(&tmp);
-            }
+            // A failed truncation is tolerated: the next open
+            // re-truncates the same prefix.
+            let (_, r) = atomic_replace(backend, &self.dir, name, &bytes[..valid_len]);
+            stats.io_retries += r;
         }
         stats.bytes_quarantined += tail.len() as u64;
         self.metrics.bytes_quarantined.add(tail.len() as u64);
@@ -735,28 +713,15 @@ impl CommitLog {
         });
     }
 
-    /// Writes (or rewrites) a segment's offset index via the atomic
-    /// temp-file + rename protocol. Best effort: the index is a cache,
-    /// so a failed write never fails the caller.
+    /// Writes (or rewrites) a segment's offset index with
+    /// [`atomic_replace`]. Best effort: the index is a cache, so a failed
+    /// write never fails the caller.
     fn write_index(&self, index: &SegmentIndex, io_retries: &mut u64) {
         let payload = serde_json::to_string(index).expect("segment index serializes");
         let bytes = encode_frame(INDEX_MAGIC, INDEX_VERSION, payload.as_bytes());
         let name = Self::index_name(index.first_offset);
-        let path = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
-        let mut retries = 0;
-        let result = (|| {
-            let (res, r) = retry_io(|| self.backend.write(&tmp, &bytes));
-            retries += r;
-            res?;
-            let (res, r) = retry_io(|| self.backend.rename(&tmp, &path));
-            retries += r;
-            res
-        })();
-        *io_retries += retries;
-        if result.is_err() {
-            let _ = self.backend.remove(&tmp);
-        }
+        let (_, r) = atomic_replace(self.backend.as_ref(), &self.dir, &name, &bytes);
+        *io_retries += r;
     }
 
     /// Appends one report, returning the offset it was assigned.

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use vup_core::PipelineConfig;
 use vup_fleetsim::fleet::Fleet;
 use vup_obs::{MonitorConfig, Registry, Tracer};
+use vup_serve::frame::{fnv1a, FNV_PRIME};
 use vup_serve::{PredictionService, ServeJournal, ServeOutcome};
 
 use crate::aggregate::{FleetAggregator, SealedSlot};
@@ -107,16 +108,6 @@ impl ReplayReport {
     }
 }
 
-/// FNV-1a over a byte string (model fingerprinting).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Replays `records` through the full streaming stack and distills the
 /// result. Feed it any prefix of a log — determinism is per prefix.
 pub fn replay(
@@ -175,7 +166,7 @@ pub fn replay(
             models.push(ModelDigest {
                 vehicle_id: vehicle,
                 trained_at: stored.trained_at,
-                digest: format!("{:016x}", fnv1a(saved.as_bytes())),
+                digest: format!("{:016x}", fnv1a(FNV_PRIME, saved.as_bytes())),
             });
         }
     }

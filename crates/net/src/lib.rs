@@ -14,8 +14,9 @@
 //!   /v1/predict-batch`, `GET /healthz`, `GET /metrics`;
 //! - [`signal`] — SIGTERM/SIGINT → [`vup_core::executor::CancelToken`]
 //!   bridge via a libc `signal(2)` declaration (std already links libc);
-//! - [`loadgen`] — seeded closed-loop load generator producing the
-//!   `BENCH_serve.json` perf-trajectory record.
+//! - [`loadgen`] — seeded closed-loop load generator; `vup loadgen`
+//!   writes its run report to `loadgen-report.json`, and only
+//!   `vup bench` appends runs to the `BENCH_serve.json` trajectory.
 //!
 //! Determinism boundary: request *outcomes* (forecasts, provenance,
 //! breaker decisions) are deterministic for a given store state and

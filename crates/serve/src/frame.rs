@@ -1,7 +1,8 @@
-//! The shared on-disk frame format: a 16-byte header (magic, format
+//! The shared on-disk frame format — a 16-byte header (magic, format
 //! version, payload length, payload CRC32) in front of an opaque
-//! payload, plus the transient-io retry helper every durable component
-//! uses.
+//! payload — and the one crash-safe file protocol every durable
+//! component uses: transient-io retries, the atomic replace, the
+//! quarantine move and the manifest generation bump.
 //!
 //! Two file families share this framing with different magics:
 //!
@@ -17,8 +18,25 @@
 //! (u32 LE). A reader can therefore always tell a good frame from a
 //! torn tail (too short), a flipped bit (CRC mismatch), or a file from
 //! a future build (unknown magic/version).
+//!
+//! The file protocol (DESIGN.md §5) is written out once, here:
+//!
+//! - [`atomic_replace`] — write `<name>.tmp`, rename it over `<name>`,
+//!   remove the temp file on failure. Snapshot persist, the manifest,
+//!   the commit log's index files and its truncate-on-recovery use it.
+//! - [`quarantine_move`] — rename a damaged file to
+//!   `quarantine/<name>.<reason>`, never delete it. Snapshot recovery
+//!   and commit-log recovery use it.
+//! - [`bump_manifest`] — read, bump and atomically rewrite a snapshot
+//!   directory's generation manifest. Store open and shard rebalance
+//!   (an out-of-band change to a store directory) use it.
 
 use std::io;
+use std::path::{Path, PathBuf};
+
+use serde::{Deserialize, Serialize};
+
+use crate::persist::StorageBackend;
 
 /// Fixed header size: magic (4) + version (2) + reserved (2) +
 /// payload length (4) + payload CRC32 (4).
@@ -223,9 +241,138 @@ pub fn retry_io<T>(mut op: impl FnMut() -> io::Result<T>) -> (io::Result<T>, u64
     }
 }
 
+/// Suffix of in-flight temp files: [`atomic_replace`] writes
+/// `<name>.tmp` before renaming it over `<name>`, so recovery treats any
+/// file with this suffix as an interrupted write.
+pub const TMP_SUFFIX: &str = ".tmp";
+/// Subdirectory damaged files are moved into by [`quarantine_move`].
+pub const QUARANTINE_DIR: &str = "quarantine";
+/// Name of the generation manifest inside a snapshot store directory.
+pub const MANIFEST_NAME: &str = "MANIFEST.json";
+
+/// Replaces `dir/name` with exactly `bytes`, atomically: writes
+/// `dir/<name>.tmp`, then renames it over `dir/name`, each step retried
+/// on transient errors. On failure the temp file is removed (best
+/// effort), so the name holds either its old contents or the new ones,
+/// never a torn mix. Returns the result and the retries spent.
+pub fn atomic_replace(
+    backend: &dyn StorageBackend,
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+) -> (io::Result<()>, u64) {
+    let tmp = dir.join(format!("{name}{TMP_SUFFIX}"));
+    let (written, mut retries) = retry_io(|| backend.write(&tmp, bytes));
+    let result = written.and_then(|()| {
+        let (renamed, r) = retry_io(|| backend.rename(&tmp, &dir.join(name)));
+        retries += r;
+        renamed
+    });
+    if result.is_err() {
+        let _ = backend.remove(&tmp);
+    }
+    (result, retries)
+}
+
+/// Where [`quarantine_move`] puts `name` quarantined for `reason`:
+/// `dir/quarantine/<name>.<reason>`.
+pub fn quarantine_path(dir: &Path, name: &str, reason: &str) -> PathBuf {
+    dir.join(QUARANTINE_DIR).join(format!("{name}.{reason}"))
+}
+
+/// The last component of `path` (lossily UTF-8; empty if there is none).
+pub fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// Moves the file at `path` to its [`quarantine_path`] beside it —
+/// never deletes it — retrying transient errors. Returns the result and
+/// the retries spent; a file that cannot be moved stays put, and the
+/// next open tries again.
+pub fn quarantine_move(
+    backend: &dyn StorageBackend,
+    path: &Path,
+    reason: &str,
+) -> (io::Result<()>, u64) {
+    let dest = quarantine_path(
+        path.parent().unwrap_or(Path::new("")),
+        &file_name(path),
+        reason,
+    );
+    retry_io(|| backend.rename(path, &dest))
+}
+
+/// The generation manifest serialized as [`MANIFEST_NAME`].
+#[derive(Serialize, Deserialize)]
+struct Manifest {
+    format_version: u16,
+    generation: u64,
+}
+
+/// What one [`bump_manifest`] did.
+#[derive(Debug)]
+pub struct ManifestBump {
+    /// The generation after the bump: one past the manifest's, or 1.
+    pub generation: u64,
+    /// Whether the manifest was missing or unreadable, so the count
+    /// restarted at 1.
+    pub rebuilt: bool,
+    /// Transient-io retries spent reading and rewriting it.
+    pub io_retries: u64,
+    /// Whether the new manifest reached the disk.
+    pub written: io::Result<()>,
+}
+
+/// Reads `dir`'s generation manifest, bumps the generation (a missing
+/// or unreadable manifest restarts at 1) and rewrites it with
+/// [`atomic_replace`].
+pub fn bump_manifest(backend: &dyn StorageBackend, dir: &Path) -> ManifestBump {
+    let (read, mut io_retries) = retry_io(|| backend.read(&dir.join(MANIFEST_NAME)));
+    let previous = read
+        .ok()
+        .and_then(|bytes| String::from_utf8(bytes).ok())
+        .and_then(|text| serde_json::from_str::<Manifest>(&text).ok());
+    let generation = previous.as_ref().map_or(1, |m| m.generation + 1);
+    let manifest = Manifest {
+        format_version: crate::persist::SNAPSHOT_VERSION,
+        generation,
+    };
+    let text = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
+    let (written, r) = atomic_replace(backend, dir, MANIFEST_NAME, text.as_bytes());
+    io_retries += r;
+    ManifestBump {
+        generation,
+        rebuilt: previous.is_none(),
+        io_retries,
+        written,
+    }
+}
+
+/// The published 64-bit FNV prime, 2⁴⁰ + 0x1b3.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The multiplier snapshot-store hashing has always used: 2⁴⁸ + 0x1b3,
+/// not [`FNV_PRIME`]. It stays, because config fingerprints name every
+/// snapshot file on disk and seed every [`crate::FaultyBackend`]
+/// decision; changing it would orphan existing stores and re-roll every
+/// seeded disk fault.
+pub const STORE_HASH_PRIME: u64 = 0x1_0000_0000_01b3;
+
+/// FNV-1a over `bytes` with multiplier `prime`: [`FNV_PRIME`] gives the
+/// published 64-bit FNV-1a, [`STORE_HASH_PRIME`] the snapshot store's
+/// fingerprints and fault-decision file hashes.
+pub fn fnv1a(prime: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(prime)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{DiskBackend, FaultyBackend};
+    use crate::DiskFaultPlan;
 
     const SNAP_MAGIC: [u8; 4] = *b"VUPM";
     const LOG_MAGIC: [u8; 4] = *b"VUPL";
@@ -458,5 +605,137 @@ mod tests {
         let (res, retries) = retry_io(|| -> io::Result<()> { Err(io::Error::other("permanent")) });
         assert!(res.is_err());
         assert_eq!(retries, 0, "permanent errors are not retried");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_pins_the_store_hash() {
+        assert_eq!(fnv1a(FNV_PRIME, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_PRIME, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_PRIME, b"foobar"), 0x8594_4171_f739_67e8);
+        // Snapshot names and seeded disk faults are built on these.
+        assert_eq!(fnv1a(STORE_HASH_PRIME, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(STORE_HASH_PRIME, b"a"), 0xb084_984c_8601_ec8c);
+        assert_eq!(fnv1a(STORE_HASH_PRIME, b"foobar"), 0x2a2a_5471_f739_67e8);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vup-frame-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join(QUARANTINE_DIR)).unwrap();
+        dir
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// `DiskBackend` whose renames always fail permanently.
+    struct NoRename;
+
+    impl StorageBackend for NoRename {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            DiskBackend.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            DiskBackend.write(path, bytes)
+        }
+        fn rename(&self, _: &Path, _: &Path) -> io::Result<()> {
+            Err(io::Error::other("rename refused"))
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            DiskBackend.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            DiskBackend.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            DiskBackend.create_dir_all(dir)
+        }
+    }
+
+    #[test]
+    fn atomic_replace_swaps_whole_files_and_leaves_no_temp_file_on_failure() {
+        let dir = temp_dir("replace");
+        let (res, retries) = atomic_replace(&DiskBackend, &dir, "f.bin", b"old");
+        assert!(res.is_ok());
+        assert_eq!(retries, 0);
+        assert!(atomic_replace(&DiskBackend, &dir, "f.bin", b"new")
+            .0
+            .is_ok());
+        assert_eq!(std::fs::read(dir.join("f.bin")).unwrap(), b"new");
+        assert_eq!(names(&dir), ["f.bin", QUARANTINE_DIR]);
+
+        // A failed rename keeps the old contents and removes the temp.
+        let (res, _) = atomic_replace(&NoRename, &dir, "f.bin", b"lost");
+        assert!(res.is_err());
+        assert_eq!(std::fs::read(dir.join("f.bin")).unwrap(), b"new");
+        assert_eq!(names(&dir), ["f.bin", QUARANTINE_DIR]);
+
+        // Transient errors cost retries on both steps, never the write.
+        let flaky = FaultyBackend::new(
+            Box::new(DiskBackend),
+            5,
+            DiskFaultPlan {
+                io_error_rate: 1.0,
+                io_error_attempts: 2,
+                ..DiskFaultPlan::default()
+            },
+        );
+        let (res, retries) = atomic_replace(&flaky, &dir, "f.bin", b"newer");
+        assert!(res.is_ok());
+        assert_eq!(retries, 4, "two on the write, two on the rename");
+        assert_eq!(std::fs::read(dir.join("f.bin")).unwrap(), b"newer");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quarantine_move_renames_and_never_deletes() {
+        let dir = temp_dir("quarantine");
+        std::fs::write(dir.join("seg.vlog"), b"damaged").unwrap();
+        let (res, _) = quarantine_move(&DiskBackend, &dir.join("seg.vlog"), "checksum");
+        assert!(res.is_ok());
+        let dest = quarantine_path(&dir, "seg.vlog", "checksum");
+        assert_eq!(dest, dir.join("quarantine/seg.vlog.checksum"));
+        assert_eq!(std::fs::read(dest).unwrap(), b"damaged");
+        assert!(!dir.join("seg.vlog").exists());
+
+        // An unmovable file stays where it is.
+        std::fs::write(dir.join("x.snap"), b"kept").unwrap();
+        assert!(quarantine_move(&NoRename, &dir.join("x.snap"), "io")
+            .0
+            .is_err());
+        assert_eq!(std::fs::read(dir.join("x.snap")).unwrap(), b"kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bump_manifest_counts_generations_and_rebuilds_an_unreadable_manifest() {
+        let dir = temp_dir("manifest");
+        let first = bump_manifest(&DiskBackend, &dir);
+        assert_eq!((first.generation, first.rebuilt), (1, true));
+        assert!(first.written.is_ok());
+        let second = bump_manifest(&DiskBackend, &dir);
+        assert_eq!((second.generation, second.rebuilt), (2, false));
+        assert_eq!(
+            std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap(),
+            "{\n  \"format_version\": 1,\n  \"generation\": 2\n}"
+        );
+
+        std::fs::write(dir.join(MANIFEST_NAME), b"not json").unwrap();
+        let rebuilt = bump_manifest(&DiskBackend, &dir);
+        assert_eq!((rebuilt.generation, rebuilt.rebuilt), (1, true));
+
+        // A manifest that cannot be rewritten still reports the bump it
+        // tried, and leaves the old manifest and no temp file behind.
+        let stuck = bump_manifest(&NoRename, &dir);
+        assert_eq!(stuck.generation, 2);
+        assert!(stuck.written.is_err());
+        assert_eq!(names(&dir), [MANIFEST_NAME, QUARANTINE_DIR]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

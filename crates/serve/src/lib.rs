@@ -42,7 +42,7 @@ pub use frame::{
     MAX_IO_ATTEMPTS,
 };
 pub use persist::{
-    audit, bump_generation, parse_snapshot_name, verify_snapshot, AppendTarget, AuditEntry,
+    audit, parse_snapshot_name, storage_backend, verify_snapshot, AppendTarget, AuditEntry,
     DiskBackend, FaultyBackend, QuarantinedFile, RecoveryStats, SnapshotDefect, SnapshotStore,
     StorageBackend,
 };

@@ -1,8 +1,8 @@
 //! Crash-safe snapshot persistence for the per-vehicle model cache.
 //!
-//! Each cache entry is one file, written via the classic atomic
-//! protocol: serialize into `<name>.tmp`, then rename over the final
-//! `v<vehicle>-<fingerprint>.snap` path. A 16-byte header carries a
+//! Each cache entry is one file, `v<vehicle>-<fingerprint>.snap`,
+//! written with the shared atomic replace ([`frame::atomic_replace`]:
+//! `<name>.tmp`, then a rename over the name). A 16-byte header carries a
 //! magic, a format version, the payload length and a CRC32 of the
 //! payload, so a reader can tell a good snapshot from a torn tail, a
 //! flipped bit, or a file from a future format — a kill -9 mid-write
@@ -13,9 +13,12 @@
 //! [`crate::ModelStore::open`]) classifies every file as loadable,
 //! truncated, checksum-mismatch, unknown-version, undecodable or a
 //! leftover temp file; bad files are *quarantined* (moved into
-//! `quarantine/`, never deleted) so an operator can inspect them, and
-//! the rest warm-start the cache. A `MANIFEST.json` records the live
-//! generation, bumped on every successful open.
+//! `quarantine/` by [`frame::quarantine_move`], never deleted) so an
+//! operator can inspect them, and the rest warm-start the cache. A
+//! `MANIFEST.json` records the live generation, bumped on every open by
+//! [`frame::bump_manifest`] — the same bump shard rebalance runs for its
+//! out-of-band changes. The commit log in `vup-ingest` uses the same
+//! replace and quarantine move, so the protocol exists once.
 //!
 //! All I/O goes through the [`StorageBackend`] trait. [`DiskBackend`]
 //! is the real filesystem; [`FaultyBackend`] wraps any backend with the
@@ -37,15 +40,15 @@ use vup_core::{FittedPredictor, SavedPredictor};
 use vup_fleetsim::fleet::VehicleId;
 use vup_obs::{Counter, Registry, SpanCtx, Tracer};
 
-use crate::faults::DiskFaultPlan;
-use crate::frame::{self, retry_io, FrameDefect};
+use crate::faults::{DiskFaultPlan, FaultPlan};
+use crate::frame::{self, file_name, fnv1a, retry_io, FrameDefect, STORE_HASH_PRIME, TMP_SUFFIX};
 use crate::resilience::splitmix64;
 use crate::store::{ModelStore, StoredModel};
 
-// The frame primitives are shared with the telemetry commit log
-// (`vup-ingest`); re-export them so existing `persist::crc32` /
-// `persist::HEADER_LEN` callers keep compiling.
-pub use crate::frame::{crc32, HEADER_LEN};
+// The frame primitives and file-protocol names are shared with the
+// telemetry commit log (`vup-ingest`); re-export them so existing
+// `persist::crc32` / `persist::QUARANTINE_DIR` callers keep compiling.
+pub use crate::frame::{crc32, HEADER_LEN, MANIFEST_NAME, QUARANTINE_DIR};
 
 /// First four bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"VUPM";
@@ -53,12 +56,6 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"VUPM";
 pub const SNAPSHOT_VERSION: u16 = 1;
 /// Extension of committed snapshot files.
 pub const SNAPSHOT_EXT: &str = "snap";
-/// Suffix of in-flight temp files (atomic-rename protocol).
-const TMP_SUFFIX: &str = ".tmp";
-/// Name of the generation manifest inside a store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.json";
-/// Subdirectory quarantined files are moved into.
-pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Frames a serialized payload with the versioned, checksummed header
 /// (the shared [`crate::frame`] layout under the snapshot magic).
@@ -275,17 +272,6 @@ const SALT_TORN: u64 = 0x54_4f_52_4e;
 const SALT_FLIP: u64 = 0x46_4c_49_50;
 const SALT_DISK_IO: u64 = 0x44_49_4f;
 
-/// FNV-1a over a file name — the stable per-file component of every
-/// disk-fault decision.
-fn fnv1a(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
-}
-
 /// Per-(kind, file) fault-injection state: how many logical operations
 /// completed, and how many consecutive transient failures the current
 /// operation has already suffered.
@@ -328,16 +314,10 @@ impl FaultyBackend {
         }
     }
 
-    fn name_of(path: &Path) -> String {
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default()
-    }
-
     /// Uniform value in `[0, 1)` for one decision coordinate.
     fn unit(&self, salt: u64, name: &str, op: u64) -> f64 {
         let mut h = splitmix64(self.seed ^ salt);
-        h = splitmix64(h ^ fnv1a(name));
+        h = splitmix64(h ^ fnv1a(STORE_HASH_PRIME, name.as_bytes()));
         h = splitmix64(h ^ op);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -370,7 +350,7 @@ impl FaultyBackend {
     /// of the bytes reach the disk. Both append entry points go through
     /// it, so they consume the same decision streams.
     fn admit_append(&self, path: &Path, len: usize) -> io::Result<usize> {
-        let name = Self::name_of(path);
+        let name = file_name(path);
         let op = self.admit(OP_APPEND, &name)?;
         if let Some(budget) = self.plan.full_disk_after_bytes {
             let before = self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
@@ -399,11 +379,12 @@ impl FaultyBackend {
 
 impl StorageBackend for FaultyBackend {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let name = Self::name_of(path);
+        let name = file_name(path);
         self.admit(OP_READ, &name)?;
         let mut bytes = self.inner.read(path)?;
         if !bytes.is_empty() && self.flips(&name) {
-            let h = splitmix64(self.seed ^ SALT_FLIP ^ fnv1a(&name));
+            let name_hash = fnv1a(STORE_HASH_PRIME, name.as_bytes());
+            let h = splitmix64(self.seed ^ SALT_FLIP ^ name_hash);
             let pos = (h as usize) % bytes.len();
             bytes[pos] ^= 1 << ((h >> 32) % 8);
         }
@@ -411,7 +392,7 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let name = Self::name_of(path);
+        let name = file_name(path);
         let op = self.admit(OP_WRITE, &name)?;
         if let Some(budget) = self.plan.full_disk_after_bytes {
             let before = self
@@ -445,7 +426,7 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.admit(OP_RENAME, &Self::name_of(from))?;
+        self.admit(OP_RENAME, &file_name(from))?;
         self.inner.rename(from, to)
     }
 
@@ -459,6 +440,18 @@ impl StorageBackend for FaultyBackend {
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         self.inner.create_dir_all(dir)
+    }
+}
+
+/// The backend a store or log opened under `plan` runs on: the real
+/// filesystem, behind a [`FaultyBackend`] seeded with the plan's seed
+/// when the plan has an active `disk` section. Every call builds a
+/// fresh backend, so each store (each shard's, too) keeps its own fault
+/// state and full-disk budget.
+pub fn storage_backend(plan: Option<&FaultPlan>) -> Box<dyn StorageBackend> {
+    match plan.and_then(|plan| Some((plan.seed, plan.disk_faults()?.clone()))) {
+        Some((seed, disk)) => Box::new(FaultyBackend::new(Box::new(DiskBackend), seed, disk)),
+        None => Box::new(DiskBackend),
     }
 }
 
@@ -516,13 +509,6 @@ impl RecoveryStats {
         self.generation = self.generation.max(other.generation);
         self.manifest_rebuilt |= other.manifest_rebuilt;
     }
-}
-
-/// The generation manifest serialized as `MANIFEST.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Manifest {
-    format_version: u16,
-    generation: u64,
 }
 
 /// Registry handles for the persistence metrics. No-ops by default.
@@ -633,8 +619,8 @@ impl SnapshotStore {
         format!("v{:08}-{:016x}.{}", vehicle.0, fingerprint, SNAPSHOT_EXT)
     }
 
-    /// Durably writes one cache entry via the atomic temp-file + rename
-    /// protocol. Returns whether the snapshot reached disk; a failure
+    /// Durably writes one cache entry with [`frame::atomic_replace`].
+    /// Returns whether the snapshot reached disk; a failure
     /// never propagates to the caller (serving continues from memory)
     /// but counts into `vup_store_persist_failed_total`.
     pub(crate) fn persist(
@@ -658,17 +644,8 @@ impl SnapshotStore {
         span.arg("bytes", bytes.len());
         span.add_bytes(bytes.len() as u64);
         let name = Self::file_name(vehicle, fingerprint);
-        let final_path = self.dir.join(&name);
-        let tmp_path = self.dir.join(format!("{name}{TMP_SUFFIX}"));
-        let mut retries = 0;
-        let result = (|| {
-            let (res, r) = retry_io(|| self.backend.write(&tmp_path, &bytes));
-            retries += r;
-            res?;
-            let (res, r) = retry_io(|| self.backend.rename(&tmp_path, &final_path));
-            retries += r;
-            res
-        })();
+        let (result, retries) =
+            frame::atomic_replace(self.backend.as_ref(), &self.dir, &name, &bytes);
         self.metrics.io_retries.add(retries);
         match result {
             Ok(()) => {
@@ -678,8 +655,6 @@ impl SnapshotStore {
             Err(e) => {
                 span.arg("error", e);
                 self.metrics.persist_failed.inc();
-                // Best effort: do not leave a half-written temp file.
-                let _ = self.backend.remove(&tmp_path);
                 false
             }
         }
@@ -716,10 +691,7 @@ impl SnapshotStore {
         let (listed, r) = retry_io(|| self.backend.list(&self.dir));
         stats.io_retries += r;
         for path in listed? {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
+            let name = file_name(&path);
             if name == MANIFEST_NAME {
                 continue;
             }
@@ -752,7 +724,10 @@ impl SnapshotStore {
             }
         }
 
-        self.bump_manifest(&mut stats);
+        let bump = frame::bump_manifest(self.backend.as_ref(), &self.dir);
+        stats.io_retries += bump.io_retries;
+        stats.generation = bump.generation;
+        stats.manifest_rebuilt = bump.rebuilt;
         self.metrics.io_retries.add(stats.io_retries);
         span.arg("files_seen", stats.files_seen);
         span.arg("recovered", stats.recovered);
@@ -794,8 +769,8 @@ impl SnapshotStore {
         ))
     }
 
-    /// Moves a bad file into `quarantine/<name>.<defect>` — never
-    /// deletes it — and records the defect.
+    /// Quarantines a bad file with [`frame::quarantine_move`] and
+    /// records the defect.
     fn quarantine(
         &self,
         path: &Path,
@@ -803,52 +778,13 @@ impl SnapshotStore {
         defect: SnapshotDefect,
         stats: &mut RecoveryStats,
     ) {
-        let dest = self
-            .dir
-            .join(QUARANTINE_DIR)
-            .join(format!("{name}.{}", defect.as_str()));
-        let (res, r) = retry_io(|| self.backend.rename(path, &dest));
+        let (_, r) = frame::quarantine_move(self.backend.as_ref(), path, defect.as_str());
         stats.io_retries += r;
-        let _ = res; // an unmovable file stays put; next open retries
         self.metrics.quarantined(defect).inc();
         stats.quarantined.push(QuarantinedFile {
             file: name.to_string(),
             reason: defect.as_str().to_string(),
         });
-    }
-
-    /// Reads, bumps and atomically rewrites the generation manifest.
-    /// Best effort: manifest trouble must not fail an open.
-    fn bump_manifest(&self, stats: &mut RecoveryStats) {
-        let path = self.dir.join(MANIFEST_NAME);
-        let previous = {
-            let (read, r) = retry_io(|| self.backend.read(&path));
-            stats.io_retries += r;
-            read.ok()
-                .and_then(|bytes| String::from_utf8(bytes).ok())
-                .and_then(|text| serde_json::from_str::<Manifest>(&text).ok())
-        };
-        stats.manifest_rebuilt = previous.is_none();
-        stats.generation = previous.map_or(1, |m| m.generation + 1);
-        let manifest = Manifest {
-            format_version: SNAPSHOT_VERSION,
-            generation: stats.generation,
-        };
-        let text = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-        let tmp = self.dir.join(format!("{MANIFEST_NAME}{TMP_SUFFIX}"));
-        let mut retries = 0;
-        let result = (|| {
-            let (res, r) = retry_io(|| self.backend.write(&tmp, text.as_bytes()));
-            retries += r;
-            res?;
-            let (res, r) = retry_io(|| self.backend.rename(&tmp, &path));
-            retries += r;
-            res
-        })();
-        stats.io_retries += retries;
-        if result.is_err() {
-            let _ = self.backend.remove(&tmp);
-        }
     }
 }
 
@@ -880,39 +816,6 @@ pub fn verify_snapshot(name: &str, bytes: &[u8]) -> Result<(VehicleId, usize), S
     Ok((vehicle, model.trained_at))
 }
 
-/// Reads, bumps, and atomically rewrites a store directory's generation
-/// manifest *without* opening the store — how out-of-band mutations
-/// (shard rebalance moves) record that the directory changed hands.
-/// Returns the new generation. A missing or unreadable manifest rebuilds
-/// at generation 1, exactly like an open.
-pub fn bump_generation(backend: &dyn StorageBackend, dir: &Path) -> io::Result<u64> {
-    backend.create_dir_all(dir)?;
-    let path = dir.join(MANIFEST_NAME);
-    let previous = {
-        let (read, _) = retry_io(|| backend.read(&path));
-        read.ok()
-            .and_then(|bytes| String::from_utf8(bytes).ok())
-            .and_then(|text| serde_json::from_str::<Manifest>(&text).ok())
-    };
-    let generation = previous.map_or(1, |m| m.generation + 1);
-    let manifest = Manifest {
-        format_version: SNAPSHOT_VERSION,
-        generation,
-    };
-    let text = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-    let tmp = dir.join(format!("{MANIFEST_NAME}{TMP_SUFFIX}"));
-    let result = (|| {
-        let (res, _) = retry_io(|| backend.write(&tmp, text.as_bytes()));
-        res?;
-        let (res, _) = retry_io(|| backend.rename(&tmp, &path));
-        res
-    })();
-    if result.is_err() {
-        let _ = backend.remove(&tmp);
-    }
-    result.map(|()| generation)
-}
-
 /// One file's verdict in an offline [`audit`] of a store directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
@@ -934,10 +837,7 @@ pub struct AuditEntry {
 pub fn audit(backend: &dyn StorageBackend, dir: &Path) -> io::Result<Vec<AuditEntry>> {
     let mut report = Vec::new();
     for path in backend.list(dir)? {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
+        let name = file_name(&path);
         if name == MANIFEST_NAME {
             continue;
         }
@@ -1400,8 +1300,8 @@ mod tests {
     #[test]
     fn bump_generation_counts_out_of_band_mutations() {
         let dir = temp_dir("bump-gen");
-        assert_eq!(bump_generation(&DiskBackend, &dir).unwrap(), 1);
-        assert_eq!(bump_generation(&DiskBackend, &dir).unwrap(), 2);
+        assert_eq!(frame::bump_manifest(&DiskBackend, &dir).generation, 1);
+        assert_eq!(frame::bump_manifest(&DiskBackend, &dir).generation, 2);
         // An open after the bumps continues the same counter.
         let registry = Registry::disabled();
         let store = SnapshotStore::new(Box::new(DiskBackend), &dir, &registry);

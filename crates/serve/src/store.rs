@@ -34,6 +34,7 @@ use vup_core::{FittedPredictor, PipelineConfig};
 use vup_fleetsim::fleet::VehicleId;
 use vup_obs::{Counter, Gauge, Registry, SpanCtx, Tracer};
 
+use crate::frame;
 use crate::persist::{DiskBackend, RecoveryStats, SnapshotStore, StorageBackend};
 
 /// Registry handles for the store's cache metrics. All no-ops by default
@@ -207,16 +208,12 @@ impl ModelStore {
         self.persist.is_some()
     }
 
-    /// Stable fingerprint of a pipeline configuration (FNV-1a over its
-    /// canonical debug rendering — identical configs agree across
-    /// processes, unlike `DefaultHasher`'s unspecified algorithm).
+    /// Stable fingerprint of a pipeline configuration (FNV-1a with the
+    /// store's [`frame::STORE_HASH_PRIME`] over its canonical debug
+    /// rendering — identical configs agree across processes, unlike
+    /// `DefaultHasher`'s unspecified algorithm).
     pub fn fingerprint(config: &PipelineConfig) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{config:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-        }
-        hash
+        frame::fnv1a(frame::STORE_HASH_PRIME, format!("{config:?}").as_bytes())
     }
 
     /// Returns the cached model for `vehicle` under `config` if it is

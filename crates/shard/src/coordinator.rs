@@ -42,7 +42,7 @@ use vup_fleetsim::Fleet;
 use vup_ml::baseline::BaselineSpec;
 use vup_obs::{Counter, FleetMonitor, MonitorConfig, Registry, Tracer, VehicleHealth};
 use vup_serve::{
-    BatchRequest, DiskBackend, FaultInjector, FaultPlan, ModelStore, PredictionService,
+    storage_backend, BatchRequest, FaultInjector, FaultPlan, ModelStore, PredictionService,
     RecoveryStats, ResilienceConfig, ServeJournal, ServeOutcome, ServePath, ShardFate,
 };
 
@@ -58,8 +58,10 @@ pub struct ShardOptions {
     pub threads: usize,
     /// Resilience profile installed on every shard.
     pub resilience: ResilienceConfig,
-    /// Seeded chaos plan shared by every shard (fit/disk faults hash
-    /// per vehicle, shard fates per shard — all coordinator-visible).
+    /// Seeded chaos plan shared by every shard (fit faults hash per
+    /// vehicle, shard fates per shard — all coordinator-visible). Its
+    /// disk section runs under every shard's store, each through its
+    /// own [`vup_serve::storage_backend`].
     pub faults: FaultPlan,
     /// Root under which each shard owns `shard-{i:03}`; `None` serves
     /// memory-only (restarts are then cold).
@@ -227,7 +229,7 @@ impl<'f> ShardedService<'f> {
         .with_tracer(self.tracer.clone());
         if let Some(root) = &self.options.store_root {
             let store = ModelStore::open_with(
-                Box::new(DiskBackend),
+                storage_backend(Some(&self.options.faults)),
                 &shard_dir(root, shard),
                 &self.registry,
                 &self.tracer,

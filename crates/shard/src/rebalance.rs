@@ -17,7 +17,7 @@
 //!    and keeps the source);
 //! 4. **remove** the source file;
 //! 5. after all moves, **bump the manifest generation**
-//!    ([`bump_generation`]) of every directory that gained or lost a
+//!    ([`bump_manifest`]) of every directory that gained or lost a
 //!    file, marking the out-of-band mutation for the next store open.
 //!
 //! A crash at any step leaves either the verified source, the verified
@@ -30,7 +30,8 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use vup_fleetsim::VehicleId;
-use vup_serve::{bump_generation, parse_snapshot_name, verify_snapshot, StorageBackend};
+use vup_serve::frame::bump_manifest;
+use vup_serve::{parse_snapshot_name, verify_snapshot, StorageBackend};
 
 use crate::partition::shard_of;
 
@@ -155,8 +156,11 @@ pub fn rebalance(
     }
     touched.sort_unstable();
     for shard in touched {
-        let generation = bump_generation(backend, &shard_dir(root, shard))?;
-        report.bumped.push((shard, generation));
+        let dir = shard_dir(root, shard);
+        backend.create_dir_all(&dir)?;
+        let bump = bump_manifest(backend, &dir);
+        bump.written?;
+        report.bumped.push((shard, bump.generation));
     }
     Ok(report)
 }

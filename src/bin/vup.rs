@@ -27,7 +27,7 @@ use vehicle_usage_prediction::obs::{
     FleetMonitor, MonitorConfig, Profile, ProfileWeight, Tracer, VehicleHealth,
 };
 use vehicle_usage_prediction::prelude::*;
-use vehicle_usage_prediction::serve::ShardFate;
+use vehicle_usage_prediction::serve::{storage_backend, ShardFate};
 use vehicle_usage_prediction::shard::{rebalance, remapped, shard_dir};
 
 const USAGE: &str = "\
@@ -95,7 +95,9 @@ SUBCOMMANDS:
                       and bit-identical at any --threads. A \"shards\"
                       section in --faults can kill/stall/refuse shards;
                       dead shards degrade their vehicles for the batch
-                      and are warm-restarted from their snapshot dir
+                      and are warm-restarted from their snapshot dir.
+                      A \"disk\" section applies to every shard's store,
+                      each with its own fault state and full-disk budget
                       --journal PATH|- : dump the last batch's provenance
                       journal as JSON (includes the store recovery report
                       when --store-dir is set; with --shards the
@@ -784,13 +786,18 @@ fn cmd_levels(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the prediction service from the shared `serve-batch`/`serve`
-/// flag set: --threads/--model pick the executor and pipeline,
-/// --retry-max/--deadline-ms/--fallback/--faults switch on the hardened
-/// profile, and --store-dir warm-starts a durable snapshot store
-/// (routed through the seeded faulty backend when the plan has an
-/// active "disk" section). Returns the service plus whether the
-/// resilient profile is active.
+/// The `--faults PATH` chaos plan, if given.
+fn fault_plan_flag(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
+    let Some(path) = flags.get("faults") else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read fault plan '{path}': {e}"))?;
+    FaultPlan::from_json(&text)
+        .map(Some)
+        .map_err(|e| format!("invalid fault plan '{path}': {e}"))
+}
+
 /// The shared serve-side flag set, parsed once so the single-service
 /// path (`configure_service`) and the sharded coordinator path
 /// (`--shards N`) agree on every knob.
@@ -819,17 +826,7 @@ fn parse_service_flags(flags: &HashMap<String, String>) -> Result<ServiceFlags, 
         ),
     };
     let fallback_flag = flags.get("fallback").map(String::as_str);
-    let fault_plan = match flags.get("faults") {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read fault plan '{path}': {e}"))?;
-            Some(
-                FaultPlan::from_json(&text)
-                    .map_err(|e| format!("invalid fault plan '{path}': {e}"))?,
-            )
-        }
-    };
+    let fault_plan = fault_plan_flag(flags)?;
     let resilient_mode =
         retry_max > 1 || deadline_ms.is_some() || fallback_flag.is_some() || fault_plan.is_some();
     let mut resilience = ResilienceConfig::resilient();
@@ -853,6 +850,13 @@ fn parse_service_flags(flags: &HashMap<String, String>) -> Result<ServiceFlags, 
     })
 }
 
+/// Builds the prediction service from the shared `serve-batch`/`serve`
+/// flag set: --threads/--model pick the executor and pipeline,
+/// --retry-max/--deadline-ms/--fallback/--faults switch on the hardened
+/// profile, and --store-dir warm-starts a durable snapshot store
+/// (routed through the seeded faulty backend when the plan has an
+/// active "disk" section). Returns the service plus whether the
+/// resilient profile is active.
 fn configure_service<'f>(
     flags: &HashMap<String, String>,
     fleet: &'f Fleet,
@@ -877,13 +881,7 @@ fn configure_service<'f>(
     // section in the fault plan routes its I/O through the seeded
     // faulty backend.
     if let Some(dir) = &store_dir {
-        let backend: Box<dyn StorageBackend> = match fault_plan
-            .as_ref()
-            .and_then(|plan| plan.disk_faults().map(|disk| (plan.seed, disk.clone())))
-        {
-            Some((seed, disk)) => Box::new(FaultyBackend::new(Box::new(DiskBackend), seed, disk)),
-            None => Box::new(DiskBackend),
-        };
+        let backend = storage_backend(fault_plan.as_ref());
         let store = ModelStore::open_with(backend, std::path::Path::new(dir), registry, tracer)
             .map_err(|e| format!("cannot open snapshot store '{dir}': {e}"))?;
         let stats = store.recovery().expect("open_with always records recovery");
@@ -1556,23 +1554,7 @@ fn open_commit_log(
     let Some(dir) = flags.get("dir").cloned() else {
         return Err("ingest/replay need --dir DIR (the commit-log directory)".into());
     };
-    let backend: Box<dyn StorageBackend> = match flags.get("faults") {
-        None => Box::new(DiskBackend),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read fault plan '{path}': {e}"))?;
-            let plan = FaultPlan::from_json(&text)
-                .map_err(|e| format!("invalid fault plan '{path}': {e}"))?;
-            match plan.disk_faults() {
-                Some(disk) => Box::new(FaultyBackend::new(
-                    Box::new(DiskBackend),
-                    plan.seed,
-                    disk.clone(),
-                )),
-                None => Box::new(DiskBackend),
-            }
-        }
-    };
+    let backend = storage_backend(fault_plan_flag(flags)?.as_ref());
     let defaults = LogOptions::default();
     let options = LogOptions {
         max_segment_bytes: flag(flags, "segment-bytes", defaults.max_segment_bytes)?,

@@ -4,14 +4,15 @@
 //! all served degraded (never failed), the supervisor warm-restarts the
 //! shard from its snapshot dir and recovers them next batch; the
 //! degraded answers come from the shard service's own traced fallback;
-//! the merged journal's recovery block must balance fleet-wide; and a
-//! rebalance to one more shard must leave every shard dir audit-clean.
+//! the merged journal's recovery block must balance fleet-wide; a
+//! plan's disk faults reach every shard's store; and a rebalance to one
+//! more shard must leave every shard dir audit-clean.
 
 use std::path::PathBuf;
 
 use vehicle_usage_prediction::obs::Buckets;
 use vehicle_usage_prediction::prelude::*;
-use vehicle_usage_prediction::serve::{audit, ShardFate, ShardFaultPlan, ShardKill};
+use vehicle_usage_prediction::serve::{audit, DiskFaultPlan, ShardFate, ShardFaultPlan, ShardKill};
 use vehicle_usage_prediction::shard::{rebalance, remapped, shard_dir};
 
 const VEHICLES: usize = 24;
@@ -374,5 +375,58 @@ fn rebalancing_to_one_more_shard_leaves_every_dir_audit_clean() {
     }
     assert_eq!(seen, VEHICLES, "no snapshot lost or duplicated");
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_full_disk_under_every_shard_store_fails_persists_never_requests() {
+    let fleet = fleet();
+    let registry = Registry::new();
+    let root = temp_root("full-disk");
+    // Each shard store gets its own budget: the manifest and a few
+    // snapshots fit, the rest of the shard's vehicles do not.
+    const BUDGET: u64 = 2_000;
+    let plan = FaultPlan {
+        seed: 41,
+        disk: Some(DiskFaultPlan {
+            full_disk_after_bytes: Some(BUDGET),
+            ..DiskFaultPlan::default()
+        }),
+        ..FaultPlan::default()
+    };
+    let mut service = ShardedService::build(
+        &fleet,
+        config(),
+        ShardOptions {
+            threads: 2,
+            faults: plan,
+            store_root: Some(root.clone()),
+            ..ShardOptions::new(SHARDS)
+        },
+        &registry,
+        &Tracer::disabled(),
+    )
+    .expect("coordinator builds");
+    let batch = service.serve_batch(&requests(), None);
+    assert!(
+        batch
+            .outcomes
+            .iter()
+            .all(|o| matches!(o, ServeOutcome::RetrainedThenServed(_))),
+        "a full disk must not fail a request: {:?}",
+        batch.outcomes
+    );
+    let persisted = registry.counter("vup_store_persisted_total").get();
+    let failed = registry.counter("vup_store_persist_failed_total").get();
+    assert!(failed > 0, "the budget must run out");
+    assert_eq!(persisted + failed, VEHICLES as u64);
+    // The budget is per store: every shard persisted something.
+    for shard in 0..SHARDS {
+        let snapshots = std::fs::read_dir(shard_dir(&root, shard))
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("snap".as_ref()))
+            .count();
+        assert!(snapshots > 0, "shard {shard} persisted nothing");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
