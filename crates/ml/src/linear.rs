@@ -5,8 +5,21 @@
 //! then `β₀ = ȳ − x̄ᵀβ`. The primary solver is Householder QR; when the
 //! centered design is rank deficient (common with windowed lag features,
 //! e.g. duplicated calendar columns), the fit falls back to a tiny-ridge
-//! normal-equation solve, which is what scikit-learn's `lstsq`-based
-//! pseudo-inverse effectively does for degenerate designs.
+//! normal-equation solve — Cholesky of the shifted Gram matrix — which is
+//! what scikit-learn's `lstsq`-based pseudo-inverse effectively does for
+//! degenerate designs.
+//!
+//! **Zero-column shortcut.** A centered column that is exactly zero — a
+//! day-of-week or holiday one-hot that never occurs in the window, which
+//! centering leaves as exact `0.0` — makes that QR fail for certain:
+//! every Householder update adds `s·v` with `s = τ·vᵀ0 = 0`, so the
+//! column stays zero, `R_jj = 0`, and back-substitution reports
+//! `RankDeficient`. Such designs go straight to the ridge solve, skipping
+//! a factorization whose result is already known; the coefficients are
+//! bit-identical to running QR first. The shortcut only fires when every
+//! entry is finite and far enough from overflow that no Householder norm
+//! can overflow (which could turn the zero column into NaN); designs with
+//! no zero column keep the QR → ridge sequence unchanged.
 
 use serde::{Deserialize, Serialize};
 use vup_linalg::{lstsq, Cholesky, LinalgError, Matrix};
@@ -104,17 +117,7 @@ impl Regressor for LinearRegression {
         }
         let (xc, col_means, yc, y_mean) = center(x, y);
 
-        let coef = if data.len() > data.n_features() {
-            match lstsq(&xc, &yc) {
-                Ok(c) => c,
-                Err(LinalgError::RankDeficient { .. }) => ridge_solve(&xc, &yc)?,
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            // Underdetermined: QR needs rows >= cols; use the ridge path.
-            ridge_solve(&xc, &yc)?
-        };
-
+        let coef = solve_centered(&xc, &yc)?;
         let intercept = y_mean - vup_linalg::vector::dot(&coef, &col_means);
         self.fitted = Some(FittedLinear { coef, intercept });
         Ok(())
@@ -144,6 +147,42 @@ impl Regressor for LinearRegression {
     }
 }
 
+/// Least squares on the centered design: Householder QR, or the ridge
+/// solve when QR reports rank deficiency, when the system is
+/// underdetermined (QR needs rows > cols), or when QR is certain to
+/// report rank deficiency (see [`qr_must_fail`]).
+fn solve_centered(xc: &Matrix, yc: &[f64]) -> Result<Vec<f64>> {
+    if xc.rows() > xc.cols() && !qr_must_fail(xc) {
+        match lstsq(xc, yc) {
+            Ok(c) => return Ok(c),
+            Err(LinalgError::RankDeficient { .. }) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    ridge_solve(xc, yc)
+}
+
+/// Whether Householder QR of `xc` must report rank deficiency: some
+/// column is exactly zero, and every entry is at most `√(MAX / 2m)` in
+/// magnitude. That bound keeps every column's sum of squares at most
+/// `MAX / 2`, and Householder reflections never grow a column's norm
+/// beyond rounding, so no reflector overflows and the zero column
+/// stays exactly zero. NaN and infinite entries fail the bound and are
+/// left to QR.
+fn qr_must_fail(xc: &Matrix) -> bool {
+    let limit = (f64::MAX / (2 * xc.rows()) as f64).sqrt();
+    let mut nonzero = vec![false; xc.cols()];
+    for row in xc.iter_rows() {
+        for (nz, &v) in nonzero.iter_mut().zip(row) {
+            if v.is_nan() || v.abs() > limit {
+                return false;
+            }
+            *nz |= v != 0.0;
+        }
+    }
+    nonzero.contains(&false)
+}
+
 /// Solves `(XᵀX + λ·s·I) β = Xᵀy` with `s` the mean Gram diagonal, giving a
 /// scale-invariant tiny ridge that regularizes away exact collinearity.
 fn ridge_solve(xc: &Matrix, yc: &[f64]) -> Result<Vec<f64>> {
@@ -159,6 +198,7 @@ fn ridge_solve(xc: &Matrix, yc: &[f64]) -> Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaler::StandardScaler;
     use proptest::prelude::*;
 
     fn fit_on(xs: &[&[f64]], y: &[f64]) -> LinearRegression {
@@ -240,7 +280,138 @@ mod tests {
         assert!((batch[1] - 5.0).abs() < 1e-8);
     }
 
+    /// The QR-first sequence without the zero-column shortcut: QR, then
+    /// the ridge solve on rank deficiency or an underdetermined system.
+    fn reference_fit(data: &Dataset) -> Result<(Vec<f64>, f64)> {
+        let (xc, col_means, yc, y_mean) = center(data.x(), data.y());
+        let coef = if data.len() > data.n_features() {
+            match lstsq(&xc, &yc) {
+                Ok(c) => c,
+                Err(LinalgError::RankDeficient { .. }) => ridge_solve(&xc, &yc)?,
+                Err(e) => return Err(e.into()),
+            }
+        } else {
+            ridge_solve(&xc, &yc)?
+        };
+        let intercept = y_mean - vup_linalg::vector::dot(&coef, &col_means);
+        Ok((coef, intercept))
+    }
+
+    /// Fits `data` both ways; the outcomes must agree bit for bit.
+    fn assert_bit_identical_to_reference(data: &Dataset) {
+        let mut lr = LinearRegression::new();
+        let fitted = lr
+            .fit(data)
+            .map(|()| (lr.coefficients().unwrap().to_vec(), lr.intercept().unwrap()));
+        match (fitted, reference_fit(data)) {
+            (Ok((coef, intercept)), Ok((ref_coef, ref_intercept))) => {
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&coef), bits(&ref_coef), "{coef:?} vs {ref_coef:?}");
+                assert_eq!(intercept.to_bits(), ref_intercept.to_bits());
+            }
+            (Err(e), Err(ref_e)) => assert_eq!(format!("{e:?}"), format!("{ref_e:?}")),
+            (got, want) => panic!("fit {got:?} vs reference {want:?}"),
+        }
+    }
+
+    /// Builds a `rows × kinds.len()` design; column `j` is random
+    /// (`kinds[j] == 0`), all zero (`1`) or the constant `consts[j]` (`2`).
+    fn design(rows: usize, kinds: &[u8], values: &[f64], consts: &[f64]) -> Matrix {
+        let p = kinds.len();
+        let mut flat = Vec::with_capacity(rows * p);
+        for i in 0..rows {
+            for (j, &kind) in kinds.iter().enumerate() {
+                flat.push(match kind {
+                    0 => values[(i * p + j) % values.len()],
+                    1 => 0.0,
+                    _ => consts[j],
+                });
+            }
+        }
+        Matrix::from_vec(rows, p, flat).unwrap()
+    }
+
+    fn check_design(rows: usize, kinds: &[u8], values: &[f64], consts: &[f64]) {
+        let x = design(rows, kinds, values, consts);
+        let y: Vec<f64> = (0..rows)
+            .map(|i| values[(7 * i + 3) % values.len()])
+            .collect();
+        // Raw, and standardized the way the pipeline feeds LR.
+        let scaled = StandardScaler::fit(&x).unwrap().transform(&x).unwrap();
+        for x in [x, scaled] {
+            assert_bit_identical_to_reference(&Dataset::new(x, y.clone()).unwrap());
+        }
+    }
+
+    #[test]
+    fn shortcut_fires_exactly_on_zero_columns_without_overflow() {
+        let centered = |xs: &[&[f64]]| center(&Matrix::from_rows(xs).unwrap(), &[0.0; 3]).0;
+        // A one-hot that never occurs, and a constant the scaler zeroes.
+        assert!(qr_must_fail(&centered(&[
+            &[1.0, 0.0],
+            &[2.0, 0.0],
+            &[4.0, 0.0]
+        ])));
+        let x = Matrix::from_rows(&[&[1.0, 3.0], &[2.0, 3.0], &[4.0, 3.0]]).unwrap();
+        let scaled = StandardScaler::fit(&x).unwrap().transform(&x).unwrap();
+        assert!(qr_must_fail(&scaled));
+        // No zero column, or squares that overflow: QR runs.
+        assert!(!qr_must_fail(&centered(&[
+            &[1.0, 0.0],
+            &[2.0, 1.0],
+            &[4.0, 0.0]
+        ])));
+        let huge = centered(&[&[1e200, 0.0], &[-1e200, 0.0], &[3e200, 0.0]]);
+        assert!(!qr_must_fail(&huge));
+        assert!(!qr_must_fail(&centered(&[
+            &[f64::NAN, 0.0],
+            &[1.0, 0.0],
+            &[2.0, 0.0]
+        ])));
+    }
+
+    #[test]
+    fn overflowing_design_takes_the_qr_path_like_the_reference() {
+        let x = Matrix::from_rows(&[
+            &[1e200, 0.0, 1.0],
+            &[-2e200, 0.0, 2.0],
+            &[3e200, 0.0, 0.5],
+            &[5e199, 0.0, 4.0],
+        ])
+        .unwrap();
+        assert_bit_identical_to_reference(&Dataset::new(x, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
+    }
+
     proptest! {
+        #[test]
+        fn prop_fit_is_bit_identical_to_the_qr_first_sequence(
+            rows in 2_usize..40,
+            kinds in proptest::collection::vec(0_u8..3, 1..8),
+            values in proptest::collection::vec(-10.0_f64..10.0, 64),
+            consts in proptest::collection::vec(-10.0_f64..10.0, 8),
+        ) {
+            check_design(rows, &kinds, &values, &consts);
+        }
+
+        #[test]
+        fn prop_fit_without_zero_columns_is_bit_identical(
+            rows in 9_usize..40,
+            p in 1_usize..8,
+            values in proptest::collection::vec(-10.0_f64..10.0, 97),
+        ) {
+            check_design(rows, &vec![0; p], &values, &[]);
+        }
+
+        #[test]
+        fn prop_underdetermined_fit_is_bit_identical(
+            rows in 2_usize..6,
+            kinds in proptest::collection::vec(0_u8..3, 6..10),
+            values in proptest::collection::vec(-10.0_f64..10.0, 64),
+            consts in proptest::collection::vec(-10.0_f64..10.0, 10),
+        ) {
+            check_design(rows, &kinds, &values, &consts);
+        }
+
         #[test]
         fn prop_recovers_planted_model_from_clean_data(
             w0 in -5.0_f64..5.0,

@@ -56,6 +56,38 @@ fn faithful_tail_preserves_orderings_and_retrains_every_slide() {
     assert!(lasso_nwd < lv_nwd, "lasso {lasso_nwd:.1} vs LV {lv_nwd:.1}");
 }
 
+/// Full-period percentage errors of the two shortest vehicles of the
+/// benchmark's `backtest` pool (fleet `small(100, 2019)`, next-working-day,
+/// w = 140, K = 20 of 40, a refit at every slide), copied from
+/// `perfbench/reference/backtest_pe.json`: (vehicle, LR PE, Lasso PE).
+const BACKTEST_REFERENCE_PE: [(u32, f64, f64); 2] = [
+    (32, 19.2033704799367, 17.464413074245112),
+    (39, 19.675547124263694, 18.252420093207856),
+];
+
+/// Pins the paper procedure's LR and Lasso errors to the benchmark's
+/// references within the benchmark's own 1e-9 tolerance, so a solver
+/// change that moves them fails here and not only in the benchmark.
+#[test]
+fn full_period_lr_and_lasso_errors_match_the_backtest_references() {
+    let fleet = Fleet::generate(FleetConfig::small(100, 2019));
+    for (id, lr_pe, lasso_pe) in BACKTEST_REFERENCE_PE {
+        let view = VehicleView::build(&fleet, VehicleId(id), Scenario::NextWorkingDay);
+        for (spec, want) in [
+            (RegressorSpec::Linear, lr_pe),
+            (RegressorSpec::lasso_paper(), lasso_pe),
+        ] {
+            let eval = evaluate_vehicle(&view, &faithful_config(ModelSpec::Learned(spec.clone())))
+                .expect("pool vehicles are evaluable");
+            assert!(
+                (eval.percentage_error - want).abs() <= 1e-9,
+                "vehicle {id} {spec:?}: PE {} vs reference {want}",
+                eval.percentage_error
+            );
+        }
+    }
+}
+
 #[test]
 #[ignore = "paper-faithful full-period evaluation; run with --ignored (release recommended)"]
 fn faithful_orderings_hold_without_amortization() {
