@@ -135,6 +135,11 @@ mod tests {
         let path = write_json("harness_selftest", &vec![1, 2, 3]);
         let text = std::fs::read_to_string(&path).expect("written file");
         assert!(text.contains('1'));
-        std::fs::remove_file(path).ok();
+        std::fs::remove_file(&path).ok();
+        // Drops `results/` too when that leaves it empty; `remove_dir`
+        // fails on a non-empty directory, so real results stay.
+        if let Some(dir) = path.parent() {
+            std::fs::remove_dir(dir).ok();
+        }
     }
 }

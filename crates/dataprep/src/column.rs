@@ -219,16 +219,6 @@ impl Column {
             _ => None,
         }
     }
-
-    /// A new column keeping only the rows at `indices` (in order).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        let mut out = Column::empty(self.dtype());
-        for &i in indices {
-            // Name is irrelevant: same-type pushes cannot fail.
-            out.push(self.get(i), "").expect("same dtype push");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -306,20 +296,6 @@ mod tests {
             assert_eq!(c.get(0), value);
             assert_eq!(c.get(1), Value::Null);
         }
-    }
-
-    #[test]
-    fn take_reorders_and_preserves_nulls() {
-        let mut c = Column::empty(DataType::Int);
-        for v in [Value::Int(10), Value::Null, Value::Int(30)] {
-            c.push(v, "c").unwrap();
-        }
-        let t = c.take(&[2, 1, 1, 0]);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.get(0), Value::Int(30));
-        assert_eq!(t.get(1), Value::Null);
-        assert_eq!(t.get(2), Value::Null);
-        assert_eq!(t.get(3), Value::Int(10));
     }
 
     proptest! {

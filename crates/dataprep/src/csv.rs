@@ -1,13 +1,9 @@
-//! CSV import/export for [`Table`] (RFC-4180-style quoting).
+//! CSV export for [`Table`] (RFC-4180-style quoting).
 //!
-//! Export writes a header row of column names; import infers column types
-//! per column (int → float → bool → str, widening until every non-empty
-//! cell parses). Empty cells are nulls.
+//! Export writes a header row of column names, then one line per row.
+//! Null cells are empty.
 
-use crate::schema::{DataType, Field, Schema};
 use crate::table::Table;
-use crate::value::Value;
-use crate::{PrepError, Result};
 
 fn needs_quoting(s: &str) -> bool {
     s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r')
@@ -41,137 +37,11 @@ pub fn to_csv(table: &Table) -> String {
     out
 }
 
-/// Splits one CSV record into fields, honoring quotes. Returns an error
-/// message for an unterminated quote.
-fn split_record(line: &str) -> std::result::Result<Vec<String>, String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                other => cur.push(other),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    fields.push(std::mem::take(&mut cur));
-                }
-                other => cur.push(other),
-            }
-        }
-    }
-    if in_quotes {
-        return Err("unterminated quoted field".into());
-    }
-    fields.push(cur);
-    Ok(fields)
-}
-
-/// Infers the narrowest type that parses every non-empty cell of a column.
-fn infer_type(cells: &[&str]) -> DataType {
-    let non_empty: Vec<&&str> = cells.iter().filter(|c| !c.is_empty()).collect();
-    if non_empty.is_empty() {
-        return DataType::Str;
-    }
-    if non_empty.iter().all(|c| c.parse::<i64>().is_ok()) {
-        return DataType::Int;
-    }
-    if non_empty.iter().all(|c| c.parse::<f64>().is_ok()) {
-        return DataType::Float;
-    }
-    if non_empty.iter().all(|c| **c == "true" || **c == "false") {
-        return DataType::Bool;
-    }
-    DataType::Str
-}
-
-/// Parses CSV text (with header) into a table, inferring column types.
-pub fn from_csv(text: &str) -> Result<Table> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(PrepError::CsvParse {
-        line: 1,
-        detail: "missing header".into(),
-    })?;
-    let names = split_record(header).map_err(|detail| PrepError::CsvParse { line: 1, detail })?;
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (idx, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let fields = split_record(line).map_err(|detail| PrepError::CsvParse {
-            line: idx + 1,
-            detail,
-        })?;
-        if fields.len() != names.len() {
-            return Err(PrepError::CsvParse {
-                line: idx + 1,
-                detail: format!("expected {} fields, found {}", names.len(), fields.len()),
-            });
-        }
-        rows.push(fields);
-    }
-
-    // Infer each column's type over all rows.
-    let dtypes: Vec<DataType> = (0..names.len())
-        .map(|j| {
-            let col_cells: Vec<&str> = rows.iter().map(|r| r[j].as_str()).collect();
-            infer_type(&col_cells)
-        })
-        .collect();
-    let schema = Schema::new(
-        names
-            .iter()
-            .zip(&dtypes)
-            .map(|(n, &t)| Field::new(n.clone(), t))
-            .collect(),
-    );
-    let mut table = Table::new(schema);
-    for (i, row) in rows.iter().enumerate() {
-        let values: Vec<Value> = row
-            .iter()
-            .zip(&dtypes)
-            .map(|(cell, &dtype)| parse_cell(cell, dtype))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(|detail| PrepError::CsvParse {
-                line: i + 2,
-                detail,
-            })?;
-        table.push_row(values).expect("types inferred to fit");
-    }
-    Ok(table)
-}
-
-fn parse_cell(cell: &str, dtype: DataType) -> std::result::Result<Value, String> {
-    if cell.is_empty() {
-        return Ok(Value::Null);
-    }
-    Ok(match dtype {
-        DataType::Int => Value::Int(cell.parse().map_err(|e| format!("bad int: {e}"))?),
-        DataType::Float => Value::Float(cell.parse().map_err(|e| format!("bad float: {e}"))?),
-        DataType::Bool => match cell {
-            "true" => Value::Bool(true),
-            "false" => Value::Bool(false),
-            other => return Err(format!("bad bool: {other}")),
-        },
-        DataType::Str => Value::Str(cell.to_owned()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{DataType, Schema};
+    use crate::value::Value;
 
     fn sample() -> Table {
         let mut t = Table::new(Schema::of(&[
@@ -188,10 +58,24 @@ mod tests {
         ])
         .unwrap();
         t.push_row(vec![
-            Value::Int(2),
+            Value::Int(-2),
             Value::Null,
             Value::Str("has,comma and \"quote\"".into()),
             Value::Bool(false),
+        ])
+        .unwrap();
+        t.push_row(vec![
+            Value::Null,
+            Value::Float(0.1 + 0.2),
+            Value::Str("two\nlines".into()),
+            Value::Null,
+        ])
+        .unwrap();
+        t.push_row(vec![
+            Value::Int(3),
+            Value::Int(4),
+            Value::Null,
+            Value::Bool(true),
         ])
         .unwrap();
         t
@@ -199,64 +83,31 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_data_and_types() {
-        let t = sample();
-        let text = to_csv(&t);
-        let back = from_csv(&text).unwrap();
-        assert_eq!(back.n_rows(), 2);
-        assert_eq!(back.schema().field("id").unwrap().dtype, DataType::Int);
-        assert_eq!(back.schema().field("hours").unwrap().dtype, DataType::Float);
-        assert_eq!(back.schema().field("ok").unwrap().dtype, DataType::Bool);
-        assert_eq!(back.get(0, "hours").unwrap(), Value::Float(7.5));
-        assert_eq!(back.get(1, "hours").unwrap(), Value::Null);
+        // Every cell is written exactly: ints and bools as their literals,
+        // floats in shortest round-trip form (an int in a float column
+        // widens to `4`), nulls as empty cells, and quoted strings.
         assert_eq!(
-            back.get(1, "note").unwrap(),
-            Value::Str("has,comma and \"quote\"".into())
+            to_csv(&sample()),
+            "id,hours,note,ok\n\
+             1,7.5,plain,true\n\
+             -2,,\"has,comma and \"\"quote\"\"\",false\n\
+             ,0.30000000000000004,\"two\nlines\",\n\
+             3,4,,true\n"
         );
+        let empty = Table::new(Schema::of(&[("x", DataType::Int)]));
+        assert_eq!(to_csv(&empty), "x\n");
     }
 
     #[test]
     fn quoting_rules() {
         assert_eq!(quote("plain"), "plain");
+        assert_eq!(quote(""), "");
         assert_eq!(quote("a,b"), "\"a,b\"");
         assert_eq!(quote("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn split_record_handles_quotes() {
-        assert_eq!(split_record("a,b,c").unwrap(), vec!["a", "b", "c"]);
-        assert_eq!(
-            split_record("\"a,b\",c").unwrap(),
-            vec!["a,b".to_owned(), "c".to_owned()]
-        );
-        assert_eq!(split_record("\"x\"\"y\"").unwrap(), vec!["x\"y".to_owned()]);
-        assert!(split_record("\"open").is_err());
-    }
-
-    #[test]
-    fn inference_widens_correctly() {
-        assert_eq!(infer_type(&["1", "2"]), DataType::Int);
-        assert_eq!(infer_type(&["1", "2.5"]), DataType::Float);
-        assert_eq!(infer_type(&["true", "false"]), DataType::Bool);
-        assert_eq!(infer_type(&["true", "maybe"]), DataType::Str);
-        assert_eq!(infer_type(&["1", ""]), DataType::Int); // empties are null
-        assert_eq!(infer_type(&[]), DataType::Str);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let err = from_csv("a,b\n1\n").unwrap_err();
-        match err {
-            PrepError::CsvParse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(from_csv("").is_err());
-    }
-
-    #[test]
-    fn empty_table_roundtrip() {
-        let t = Table::new(Schema::of(&[("x", DataType::Int)]));
-        let back = from_csv(&to_csv(&t)).unwrap();
-        assert_eq!(back.n_rows(), 0);
-        assert_eq!(back.schema().fields()[0].name, "x");
+        assert_eq!(quote("a\nb"), "\"a\nb\"");
+        assert_eq!(quote("a\rb"), "\"a\rb\"");
+        // Header names are quoted by the same rule.
+        let t = Table::new(Schema::of(&[("a,b", DataType::Str), ("c", DataType::Bool)]));
+        assert_eq!(to_csv(&t), "\"a,b\",c\n");
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Data profiling is the first step of any preparation pipeline review:
 //! per-column row/null counts and, for numeric columns, min/mean/max.
-//! The `data_preparation` example and the cleaning tests use it to sanity
-//! check pipeline outputs.
+//! `vup simulate` prints it to stderr next to the exported CSV.
 
 use crate::schema::DataType;
 use crate::table::Table;

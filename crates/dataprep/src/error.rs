@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors produced by the relational engine and preparation pipeline.
+/// Errors produced by the columnar table and preparation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepError {
     /// A referenced column does not exist in the schema.
@@ -24,11 +24,6 @@ pub enum PrepError {
         /// Values supplied.
         actual: usize,
     },
-    /// Two tables disagree on schema where agreement is required.
-    SchemaMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
     /// A row index is out of bounds.
     RowOutOfBounds {
         /// Requested row.
@@ -36,15 +31,6 @@ pub enum PrepError {
         /// Number of rows in the table.
         len: usize,
     },
-    /// CSV text could not be parsed.
-    CsvParse {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// Description of the problem.
-        detail: String,
-    },
-    /// An operation that requires rows got an empty table.
-    EmptyTable,
     /// A requested operation is invalid for the column's type.
     UnsupportedType {
         /// The operation attempted.
@@ -72,14 +58,9 @@ impl fmt::Display for PrepError {
                     "row has {actual} values but schema has {expected} columns"
                 )
             }
-            PrepError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
             PrepError::RowOutOfBounds { row, len } => {
                 write!(f, "row {row} out of bounds (table has {len} rows)")
             }
-            PrepError::CsvParse { line, detail } => {
-                write!(f, "CSV parse error at line {line}: {detail}")
-            }
-            PrepError::EmptyTable => write!(f, "operation requires a non-empty table"),
             PrepError::UnsupportedType { op, dtype } => {
                 write!(f, "operation {op} is not supported for {dtype} columns")
             }
@@ -111,12 +92,12 @@ mod tests {
         }
         .to_string()
         .contains("3"));
-        assert!(PrepError::CsvParse {
-            line: 7,
-            detail: "bad".into()
+        assert!(PrepError::UnsupportedType {
+            op: "float_column",
+            dtype: "str"
         }
         .to_string()
-        .contains("line 7"));
+        .contains("float_column"));
         assert!(PrepError::RowOutOfBounds { row: 9, len: 3 }
             .to_string()
             .contains("9"));

@@ -1,11 +1,13 @@
-//! Columnar relational engine and the paper's data-preparation pipeline.
+//! Columnar table and the paper's data-preparation pipeline.
 //!
 //! The paper (§2, "Data preparation") prepares raw CAN-bus streams for
 //! machine learning in five steps:
 //!
 //! 1. **Cleaning** — handle missing values, unify formats, remove
 //!    inconsistencies (connectivity loss corrupts field data);
-//! 2. **Normalization** — make continuous features comparable;
+//! 2. **Normalization** — make continuous features comparable (done by
+//!    `vup_ml::scaler::StandardScaler`, fitted on each training window so
+//!    no test-day statistics leak into the model, not by this crate);
 //! 3. **Aggregation** — aggregate the 10-minute reports to daily values
 //!    and derive daily utilization hours from the sample counts;
 //! 4. **Enrichment** — attach multi-faceted contextual information
@@ -13,12 +15,10 @@
 //!    year, location);
 //! 5. **Transformation** — produce a relational dataset.
 //!
-//! Step 5 needs a relational substrate, so this crate ships a small
-//! in-memory columnar engine ([`table::Table`]): typed columns with
-//! bit-packed null bitmaps, filter/project/sort, hash group-by with
-//! aggregates, hash join, and CSV import/export. The preparation steps
-//! ([`cleaning`], [`normalize`], [`aggregate`], [`enrich`], orchestrated
-//! by [`pipeline`]) all operate through it or produce it.
+//! Step 5 produces a small in-memory columnar table ([`table::Table`]):
+//! typed columns with bit-packed null bitmaps, profiled by [`describe`]
+//! and exported by [`csv::to_csv`]. The other steps ([`cleaning`],
+//! [`aggregate`], [`enrich`], orchestrated by [`pipeline`]) feed it.
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,6 @@ pub mod csv;
 pub mod describe;
 pub mod enrich;
 mod error;
-pub mod normalize;
 pub mod pipeline;
 pub mod schema;
 pub mod table;

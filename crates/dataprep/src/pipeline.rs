@@ -1,6 +1,6 @@
 //! Step (v) and orchestration — the full preparation pipeline.
 //!
-//! [`prepare_vehicle_days`] runs the paper's five steps end to end for one
+//! [`prepare_vehicle_days`] runs the paper's steps end to end for one
 //! vehicle over a date range: raw 10-minute reports → cleaning → daily
 //! aggregation → enrichment → a relational [`Table`] (one row per day).
 //! [`daily_records_to_table`] performs the transformation step alone for
@@ -111,13 +111,13 @@ pub struct PreparedVehicle {
     pub cleaning: CleaningStats,
 }
 
-/// Runs the five preparation steps on the *raw 10-minute report stream*
-/// of one vehicle over `[start, start + n_days)`.
+/// Runs the preparation steps on the *raw 10-minute report stream* of one
+/// vehicle over `[start, start + n_days)`.
 ///
 /// `dropout` controls the injected connectivity defects (use
 /// [`DropoutConfig::none`] for a clean stream). Normalization is fitted by
-/// the caller on a training window (see [`crate::normalize`]) rather than
-/// here, to avoid train/test leakage.
+/// the caller on a training window (`vup_ml::scaler::StandardScaler`)
+/// rather than here, to avoid train/test leakage.
 pub fn prepare_vehicle_days(
     fleet: &Fleet,
     id: VehicleId,

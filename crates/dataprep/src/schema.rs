@@ -99,15 +99,6 @@ impl Schema {
     pub fn field(&self, name: &str) -> Result<&Field> {
         Ok(&self.fields[self.index_of(name)?])
     }
-
-    /// A new schema with only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> Result<Schema> {
-        let fields = names
-            .iter()
-            .map(|n| self.field(n).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Schema::new(fields))
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +124,6 @@ mod tests {
             s.index_of("nope"),
             Err(PrepError::UnknownColumn { .. })
         ));
-    }
-
-    #[test]
-    fn projection_preserves_requested_order() {
-        let s = sample();
-        let p = s.project(&["hours", "vehicle_id"]).unwrap();
-        assert_eq!(p.fields()[0].name, "hours");
-        assert_eq!(p.fields()[1].name, "vehicle_id");
-        assert!(s.project(&["missing"]).is_err());
     }
 
     #[test]

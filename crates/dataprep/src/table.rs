@@ -1,38 +1,9 @@
-//! The in-memory columnar table and its relational operators.
-
-use std::collections::HashMap;
+//! The in-memory columnar table that carries the prepared dataset.
 
 use crate::column::Column;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use crate::{PrepError, Result};
-
-/// Aggregate function for [`Table::group_by`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aggregate {
-    /// Count of non-null values.
-    Count,
-    /// Sum of values (numeric columns).
-    Sum,
-    /// Mean of non-null values (numeric columns).
-    Mean,
-    /// Minimum non-null value (numeric columns).
-    Min,
-    /// Maximum non-null value (numeric columns).
-    Max,
-}
-
-impl Aggregate {
-    fn suffix(self) -> &'static str {
-        match self {
-            Aggregate::Count => "count",
-            Aggregate::Sum => "sum",
-            Aggregate::Mean => "mean",
-            Aggregate::Min => "min",
-            Aggregate::Max => "max",
-        }
-    }
-}
 
 /// An in-memory columnar table: a schema plus one [`Column`] per field.
 ///
@@ -170,218 +141,6 @@ impl Table {
             }),
         }
     }
-
-    /// New table with the rows whose index satisfies `pred(row_index)`.
-    pub fn filter_by_index(&self, pred: impl Fn(usize) -> bool) -> Table {
-        let indices: Vec<usize> = (0..self.n_rows).filter(|&i| pred(i)).collect();
-        self.take(&indices)
-    }
-
-    /// New table with rows where `pred(value_of(column))` holds.
-    pub fn filter(&self, column: &str, pred: impl Fn(&Value) -> bool) -> Result<Table> {
-        let col = self.column(column)?;
-        let indices: Vec<usize> = (0..self.n_rows).filter(|&i| pred(&col.get(i))).collect();
-        Ok(self.take(&indices))
-    }
-
-    /// New table with only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> Result<Table> {
-        let schema = self.schema.project(names)?;
-        let columns = names
-            .iter()
-            .map(|n| self.schema.index_of(n).map(|i| self.columns[i].clone()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Table {
-            schema,
-            columns,
-            n_rows: self.n_rows,
-        })
-    }
-
-    /// New table with rows reordered/subset by `indices`.
-    pub fn take(&self, indices: &[usize]) -> Table {
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(indices)).collect();
-        Table {
-            schema: self.schema.clone(),
-            columns,
-            n_rows: indices.len(),
-        }
-    }
-
-    /// New table sorted ascending by the given column (nulls last; ties
-    /// keep their original order).
-    pub fn sort_by(&self, column: &str) -> Result<Table> {
-        let col = self.column(column)?;
-        let mut indices: Vec<usize> = (0..self.n_rows).collect();
-        indices.sort_by(|&a, &b| {
-            use std::cmp::Ordering;
-            match (col.get(a), col.get(b)) {
-                (Value::Null, Value::Null) => Ordering::Equal,
-                (Value::Null, _) => Ordering::Greater,
-                (_, Value::Null) => Ordering::Less,
-                (Value::Int(x), Value::Int(y)) => x.cmp(&y),
-                (Value::Bool(x), Value::Bool(y)) => x.cmp(&y),
-                (Value::Str(x), Value::Str(y)) => x.cmp(&y),
-                (x, y) => {
-                    let xf = x.as_float().expect("sortable");
-                    let yf = y.as_float().expect("sortable");
-                    xf.partial_cmp(&yf).unwrap_or(Ordering::Equal)
-                }
-            }
-        });
-        Ok(self.take(&indices))
-    }
-
-    /// Hash group-by: groups rows by the `key` column and computes each
-    /// `(value_column, aggregate)` pair over the groups. The output has
-    /// the key column plus one `<col>_<agg>` column per pair; group order
-    /// follows first appearance of each key.
-    pub fn group_by(&self, key: &str, aggs: &[(&str, Aggregate)]) -> Result<Table> {
-        let key_col = self.column(key)?;
-        let key_dtype = key_col.dtype();
-
-        // Group rows by key value (serialized for hashing, order-stable).
-        let mut order: Vec<Value> = Vec::new();
-        let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-        for i in 0..self.n_rows {
-            let v = key_col.get(i);
-            let k = format!("{}:{v}", v.type_name());
-            if !groups.contains_key(&k) {
-                order.push(v.clone());
-            }
-            groups.entry(k).or_default().push(i);
-        }
-
-        // Build the output schema.
-        let mut fields = vec![Field::new(key, key_dtype)];
-        for &(col_name, agg) in aggs {
-            let src = self.schema.field(col_name)?;
-            let dtype = match agg {
-                Aggregate::Count => DataType::Int,
-                _ => {
-                    if !matches!(src.dtype, DataType::Float | DataType::Int) {
-                        return Err(PrepError::UnsupportedType {
-                            op: "group_by aggregate",
-                            dtype: src.dtype.name(),
-                        });
-                    }
-                    DataType::Float
-                }
-            };
-            fields.push(Field::new(format!("{col_name}_{}", agg.suffix()), dtype));
-        }
-        let mut out = Table::new(Schema::new(fields));
-
-        for key_value in order {
-            let k = format!("{}:{key_value}", key_value.type_name());
-            let rows = &groups[&k];
-            let mut record = vec![key_value];
-            for &(col_name, agg) in aggs {
-                let col = self.column(col_name)?;
-                let vals: Vec<f64> = rows.iter().filter_map(|&i| col.get_float(i)).collect();
-                let v = match agg {
-                    Aggregate::Count => {
-                        Value::Int(rows.iter().filter(|&&i| !col.get(i).is_null()).count() as i64)
-                    }
-                    Aggregate::Sum => Value::Float(vals.iter().sum()),
-                    Aggregate::Mean => {
-                        if vals.is_empty() {
-                            Value::Null
-                        } else {
-                            Value::Float(vals.iter().sum::<f64>() / vals.len() as f64)
-                        }
-                    }
-                    Aggregate::Min => vals
-                        .iter()
-                        .copied()
-                        .reduce(f64::min)
-                        .map(Value::Float)
-                        .unwrap_or(Value::Null),
-                    Aggregate::Max => vals
-                        .iter()
-                        .copied()
-                        .reduce(f64::max)
-                        .map(Value::Float)
-                        .unwrap_or(Value::Null),
-                };
-                record.push(v);
-            }
-            out.push_row(record).expect("schema built to match");
-        }
-        Ok(out)
-    }
-
-    /// Inner hash join on equal values of `self[left_key] == other[right_key]`.
-    ///
-    /// Output columns are `self`'s columns followed by `other`'s (the right
-    /// key column excluded); right columns whose names collide are prefixed
-    /// with `right_`. Null keys never match.
-    pub fn join(&self, other: &Table, left_key: &str, right_key: &str) -> Result<Table> {
-        let lcol = self.column(left_key)?;
-        let rcol = other.column(right_key)?;
-
-        // Build the output schema.
-        let mut fields = self.schema.fields().to_vec();
-        let left_names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-        let mut right_fields = Vec::new();
-        for f in other.schema.fields() {
-            if f.name == right_key {
-                continue;
-            }
-            let name = if left_names.contains(&f.name.as_str()) {
-                format!("right_{}", f.name)
-            } else {
-                f.name.clone()
-            };
-            right_fields.push((f.name.clone(), Field::new(name, f.dtype)));
-        }
-        fields.extend(right_fields.iter().map(|(_, f)| f.clone()));
-        let mut out = Table::new(Schema::new(fields));
-
-        // Hash the right side.
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        for j in 0..other.n_rows {
-            let v = rcol.get(j);
-            if v.is_null() {
-                continue;
-            }
-            index
-                .entry(format!("{}:{v}", v.type_name()))
-                .or_default()
-                .push(j);
-        }
-
-        for i in 0..self.n_rows {
-            let v = lcol.get(i);
-            if v.is_null() {
-                continue;
-            }
-            let Some(matches) = index.get(&format!("{}:{v}", v.type_name())) else {
-                continue;
-            };
-            for &j in matches {
-                let mut record = self.row(i)?;
-                for (src_name, _) in &right_fields {
-                    record.push(other.get(j, src_name)?);
-                }
-                out.push_row(record).expect("schema built to match");
-            }
-        }
-        Ok(out)
-    }
-
-    /// Appends all rows of `other` (schemas must be identical).
-    pub fn append(&mut self, other: &Table) -> Result<()> {
-        if self.schema != other.schema {
-            return Err(PrepError::SchemaMismatch {
-                detail: "append requires identical schemas".into(),
-            });
-        }
-        for i in 0..other.n_rows {
-            self.push_row(other.row(i)?)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -440,135 +199,6 @@ mod tests {
         assert!(t.get(0, "nope").is_err());
         let row = t.row(4).unwrap();
         assert_eq!(row[0], Value::Int(3));
-    }
-
-    #[test]
-    fn filter_and_project() {
-        let t = usage_table();
-        let it = t.filter("country", |v| v.as_str() == Some("IT")).unwrap();
-        assert_eq!(it.n_rows(), 3);
-        let p = it.project(&["hours"]).unwrap();
-        assert_eq!(p.n_cols(), 1);
-        assert_eq!(p.get(1, "hours").unwrap(), Value::Float(7.0));
-        assert!(t.project(&["ghost"]).is_err());
-    }
-
-    #[test]
-    fn sorting_puts_nulls_last() {
-        let t = usage_table();
-        let s = t.sort_by("hours").unwrap();
-        let hours: Vec<Value> = (0..s.n_rows())
-            .map(|i| s.get(i, "hours").unwrap())
-            .collect();
-        assert_eq!(
-            hours,
-            vec![
-                Value::Float(2.0),
-                Value::Float(4.0),
-                Value::Float(5.0),
-                Value::Float(7.0),
-                Value::Null
-            ]
-        );
-    }
-
-    #[test]
-    fn group_by_means_and_counts() {
-        let t = usage_table();
-        let g = t
-            .group_by(
-                "vid",
-                &[("hours", Aggregate::Mean), ("hours", Aggregate::Count)],
-            )
-            .unwrap();
-        assert_eq!(g.n_rows(), 3);
-        // Group order follows first appearance: 1, 2, 3.
-        assert_eq!(g.get(0, "vid").unwrap(), Value::Int(1));
-        assert_eq!(g.get(0, "hours_mean").unwrap(), Value::Float(6.0));
-        assert_eq!(g.get(0, "hours_count").unwrap(), Value::Int(2));
-        // vid 2 has one null: mean over the single non-null value.
-        assert_eq!(g.get(1, "hours_mean").unwrap(), Value::Float(2.0));
-        assert_eq!(g.get(1, "hours_count").unwrap(), Value::Int(1));
-    }
-
-    #[test]
-    fn group_by_min_max_sum() {
-        let t = usage_table();
-        let g = t
-            .group_by(
-                "country",
-                &[
-                    ("hours", Aggregate::Min),
-                    ("hours", Aggregate::Max),
-                    ("hours", Aggregate::Sum),
-                ],
-            )
-            .unwrap();
-        assert_eq!(g.n_rows(), 2);
-        assert_eq!(g.get(0, "country").unwrap(), Value::Str("IT".into()));
-        assert_eq!(g.get(0, "hours_min").unwrap(), Value::Float(4.0));
-        assert_eq!(g.get(0, "hours_max").unwrap(), Value::Float(7.0));
-        assert_eq!(g.get(0, "hours_sum").unwrap(), Value::Float(16.0));
-    }
-
-    #[test]
-    fn group_by_rejects_non_numeric_aggregates() {
-        let t = usage_table();
-        assert!(matches!(
-            t.group_by("vid", &[("country", Aggregate::Mean)]),
-            Err(PrepError::UnsupportedType { .. })
-        ));
-        // Count over strings is fine.
-        assert!(t.group_by("vid", &[("country", Aggregate::Count)]).is_ok());
-    }
-
-    #[test]
-    fn join_matches_keys_and_renames_collisions() {
-        let t = usage_table();
-        let mut meta = Table::new(Schema::of(&[
-            ("country", DataType::Str),
-            ("hours", DataType::Float), // collides with left's "hours"
-            ("hemisphere", DataType::Str),
-        ]));
-        meta.push_row(vec![
-            Value::Str("IT".into()),
-            Value::Float(99.0),
-            Value::Str("N".into()),
-        ])
-        .unwrap();
-        let joined = t.join(&meta, "country", "country").unwrap();
-        // Only IT rows match.
-        assert_eq!(joined.n_rows(), 3);
-        assert_eq!(joined.get(0, "hemisphere").unwrap(), Value::Str("N".into()));
-        assert_eq!(joined.get(0, "right_hours").unwrap(), Value::Float(99.0));
-        // Left columns intact.
-        assert_eq!(joined.get(0, "hours").unwrap(), Value::Float(5.0));
-    }
-
-    #[test]
-    fn join_skips_null_keys() {
-        let mut left = Table::new(Schema::of(&[("k", DataType::Int)]));
-        left.push_row(vec![Value::Null]).unwrap();
-        left.push_row(vec![Value::Int(1)]).unwrap();
-        let mut right = Table::new(Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]));
-        right.push_row(vec![Value::Int(1), Value::Int(10)]).unwrap();
-        right.push_row(vec![Value::Null, Value::Int(20)]).unwrap();
-        let joined = left.join(&right, "k", "k").unwrap();
-        assert_eq!(joined.n_rows(), 1);
-        assert_eq!(joined.get(0, "v").unwrap(), Value::Int(10));
-    }
-
-    #[test]
-    fn append_requires_identical_schema() {
-        let mut a = usage_table();
-        let b = usage_table();
-        a.append(&b).unwrap();
-        assert_eq!(a.n_rows(), 10);
-        let c = Table::new(Schema::of(&[("x", DataType::Int)]));
-        assert!(matches!(
-            a.append(&c),
-            Err(PrepError::SchemaMismatch { .. })
-        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cell values exchanged with the relational engine.
+//! Cell values of the columnar table.
 
 use std::fmt;
 
@@ -29,44 +29,6 @@ impl Value {
             Value::Str(_) => "str",
             Value::Bool(_) => "bool",
             Value::Null => "null",
-        }
-    }
-
-    /// Whether this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// The integer payload, if any (no coercion).
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The float payload; integers coerce losslessly.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if any.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if any.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
         }
     }
 }
@@ -122,18 +84,6 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accessors_and_coercion() {
-        assert_eq!(Value::Int(3).as_int(), Some(3));
-        assert_eq!(Value::Int(3).as_float(), Some(3.0));
-        assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Float(2.5).as_int(), None);
-        assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
-    }
 
     #[test]
     fn conversions_from_rust_types() {

@@ -308,12 +308,19 @@ pub struct SegmentIndex {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuarantinedLogFile {
     /// Name the quarantined bytes were written under (inside
-    /// `quarantine/`): `<original-name>.<defect>`.
+    /// `quarantine/`): `<original-name>.<defect>`, with a `.N` suffix
+    /// when an earlier defect already holds that name.
     pub file: String,
     /// The [`LogDefect`] label.
     pub reason: String,
     /// How many bytes were quarantined.
     pub bytes: u64,
+}
+
+/// The file name a quarantine landed under, or the unsuffixed name it
+/// was meant for when no destination was found.
+fn quarantined_name(name: &str, defect: LogDefect, dest: io::Result<PathBuf>) -> String {
+    dest.map_or_else(|_| format!("{name}.{}", defect.as_str()), |p| file_name(&p))
 }
 
 /// What one [`CommitLog::open`] recovery pass found.
@@ -667,12 +674,12 @@ impl CommitLog {
         stats.io_retries += r;
         let len = read.map_or(0, |b| b.len() as u64);
         stats.bytes_seen += len;
-        let (_, r) = quarantine_move(self.backend.as_ref(), path, defect.as_str());
+        let (moved, r) = quarantine_move(self.backend.as_ref(), path, defect.as_str());
         stats.io_retries += r;
         stats.bytes_quarantined += len;
         self.metrics.bytes_quarantined.add(len);
         stats.quarantined.push(QuarantinedLogFile {
-            file: format!("{name}.{}", defect.as_str()),
+            file: quarantined_name(name, defect, moved),
             reason: defect.as_str().to_string(),
             bytes: len,
         });
@@ -691,23 +698,28 @@ impl CommitLog {
     ) {
         let tail = &bytes[valid_len..];
         let backend = self.backend.as_ref();
-        if valid_len == 0 {
+        let dest = if valid_len == 0 {
             // No valid frame: the whole file is the damaged tail.
-            let (_, r) = quarantine_move(backend, &self.dir.join(name), defect.as_str());
+            let (moved, r) = quarantine_move(backend, &self.dir.join(name), defect.as_str());
             stats.io_retries += r;
+            moved
         } else {
-            let dest = quarantine_path(&self.dir, name, defect.as_str());
-            let (_, r) = retry_io(|| backend.write(&dest, tail));
+            let (dest, r) = retry_io(|| quarantine_path(backend, &self.dir, name, defect.as_str()));
             stats.io_retries += r;
+            if let Ok(dest) = &dest {
+                let (_, r) = retry_io(|| backend.write(dest, tail));
+                stats.io_retries += r;
+            }
             // A failed truncation is tolerated: the next open
             // re-truncates the same prefix.
             let (_, r) = atomic_replace(backend, &self.dir, name, &bytes[..valid_len]);
             stats.io_retries += r;
-        }
+            dest
+        };
         stats.bytes_quarantined += tail.len() as u64;
         self.metrics.bytes_quarantined.add(tail.len() as u64);
         stats.quarantined.push(QuarantinedLogFile {
-            file: format!("{name}.{}", defect.as_str()),
+            file: quarantined_name(name, defect, dest),
             reason: defect.as_str().to_string(),
             bytes: tail.len() as u64,
         });
@@ -1185,9 +1197,26 @@ mod tests {
         let q = dir
             .join(QUARANTINE_DIR)
             .join(format!("{}.truncated", CommitLog::segment_name(0)));
-        let tail = std::fs::read(q).unwrap();
+        let tail = std::fs::read(&q).unwrap();
         assert_eq!(tail.len() as u64, stats.bytes_quarantined);
         assert_eq!(log.records().unwrap().len(), 9);
+        drop(log);
+
+        // A second torn tail of the same segment lands under the next
+        // free name and leaves the first one's bytes alone.
+        {
+            let (mut log, _) = open(&dir, LogOptions::default());
+            log.append(1, &report(17000, 10)).unwrap();
+        }
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..bytes.len() - 7]).unwrap();
+        let (_, stats) = open(&dir, LogOptions::default());
+        invariant(&stats);
+        let again = format!("{}.truncated.1", CommitLog::segment_name(0));
+        assert_eq!(stats.quarantined[0].file, again);
+        let second = std::fs::read(dir.join(QUARANTINE_DIR).join(&again)).unwrap();
+        assert_eq!(second.len() as u64, stats.bytes_quarantined);
+        assert_eq!(std::fs::read(&q).unwrap(), tail);
     }
 
     #[test]

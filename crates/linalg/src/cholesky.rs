@@ -172,11 +172,6 @@ impl Cholesky {
         }
         Ok(y)
     }
-
-    /// Log-determinant of `A`, i.e. `2 * sum(log(diag(L)))`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -231,12 +226,6 @@ mod tests {
     fn solve_validates_rhs_length() {
         let chol = Cholesky::decompose(&Matrix::identity(2)).unwrap();
         assert!(chol.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let chol = Cholesky::decompose(&Matrix::identity(4)).unwrap();
-        assert!(chol.log_det().abs() < 1e-12);
     }
 
     /// Builds a random SPD matrix as Bᵀ B + n·I from a flat coefficient list.

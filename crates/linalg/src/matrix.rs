@@ -310,30 +310,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Extracts the sub-matrix made of the given column indices, in order.
-    ///
-    /// Returns [`LinalgError::BadDimensions`] if any index is out of range.
-    pub fn select_columns(&self, indices: &[usize]) -> Result<Matrix> {
-        for &j in indices {
-            if j >= self.cols {
-                return Err(LinalgError::BadDimensions {
-                    shape: self.shape(),
-                    len: j,
-                });
-            }
-        }
-        let mut data = Vec::with_capacity(self.rows * indices.len());
-        for row in self.iter_rows() {
-            data.extend(indices.iter().map(|&j| row[j]));
-        }
-        Matrix::from_vec(self.rows, indices.len(), data)
-    }
-
     /// Stacks another matrix with the same number of columns below `self`.
     pub fn vstack(&self, below: &Matrix) -> Result<Matrix> {
         if self.cols != below.cols {
@@ -561,19 +537,8 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
-        assert!(approx(m.frobenius_norm(), 5.0));
         assert!(approx(m.max_abs(), 4.0));
         assert_eq!(Matrix::zeros(0, 0).max_abs(), 0.0);
-    }
-
-    #[test]
-    fn column_selection() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let s = m.select_columns(&[2, 0]).unwrap();
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.row(0), &[3.0, 1.0]);
-        assert_eq!(s.row(1), &[6.0, 4.0]);
-        assert!(m.select_columns(&[3]).is_err());
     }
 
     #[test]

@@ -26,18 +26,6 @@ pub fn norm1(a: &[f64]) -> f64 {
     a.iter().map(|v| v.abs()).sum()
 }
 
-/// In-place `y += alpha * x`.
-///
-/// # Panics
-/// Panics when the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Element-wise difference `a - b` as a new vector.
 ///
 /// # Panics
@@ -84,13 +72,6 @@ mod tests {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm1(&[-1.0, 2.0, -3.0]), 6.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
     }
 
     #[test]

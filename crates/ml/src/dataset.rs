@@ -116,16 +116,6 @@ impl Dataset {
         let at = ((self.len() as f64 * train_frac).round() as usize).clamp(1, self.len() - 1);
         self.split_at(at)
     }
-
-    /// A new dataset keeping only the given feature columns (in order) —
-    /// the operation performed after ACF-based lag selection.
-    pub fn select_features(&self, columns: &[usize]) -> Result<Dataset> {
-        let x = self.x.select_columns(columns)?;
-        Ok(Dataset {
-            x,
-            y: self.y.clone(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -196,15 +186,5 @@ mod tests {
         assert!(!train.is_empty() && !test.is_empty());
         let (train, _) = d.split_fraction(0.75).unwrap();
         assert_eq!(train.len(), 3);
-    }
-
-    #[test]
-    fn feature_selection_projects_columns() {
-        let d = toy();
-        let s = d.select_features(&[1]).unwrap();
-        assert_eq!(s.n_features(), 1);
-        assert_eq!(s.x()[(2, 0)], 30.0);
-        assert_eq!(s.y(), d.y());
-        assert!(d.select_features(&[5]).is_err());
     }
 }

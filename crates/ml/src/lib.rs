@@ -22,8 +22,9 @@
 //! - [`logistic`] — multinomial softmax classification (the paper's §5
 //!   future-work item on discrete usage levels);
 //! - [`scaler`], [`metrics`], [`grid`], [`dataset`] — supporting pieces
-//!   (standardization, the paper's Percentage Error metric, grid search,
-//!   dataset handling);
+//!   (z-score standardization, which is the paper's normalization step and
+//!   is fitted on each training window; the paper's Percentage Error
+//!   metric; grid search; dataset handling);
 //! - [`instrument`] — fit/predict timing histograms ([`instrument::MlTimers`])
 //!   recorded into a `vup-obs` registry, no-op when observability is off.
 //!

@@ -1,9 +1,9 @@
 //! Feature scaling (the paper's preparation step ii, "Normalization").
 //!
-//! Two scalers are provided: z-score standardization (what SVR and Lasso
-//! assume for comparable regularization across features) and min-max
-//! normalization to `[0, 1]`. Both follow the fit/transform protocol and
-//! guard against constant columns.
+//! Z-score standardization (what SVR and Lasso assume for comparable
+//! regularization across features), fitted on each training window so no
+//! test-day statistics leak into the model. It follows the fit/transform
+//! protocol and guards against constant columns.
 
 use serde::{Deserialize, Serialize};
 use vup_linalg::Matrix;
@@ -136,65 +136,6 @@ impl StandardScaler {
     }
 }
 
-/// Min-max scaler mapping each column to `[0, 1]`.
-///
-/// Constant columns map to `0.0`.
-#[derive(Debug, Clone)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    ranges: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Learns per-column minima and ranges.
-    pub fn fit(x: &Matrix) -> Result<Self> {
-        if x.rows() == 0 {
-            return Err(MlError::NotEnoughSamples {
-                required: 1,
-                actual: 0,
-            });
-        }
-        let p = x.cols();
-        let mut mins = vec![f64::INFINITY; p];
-        let mut maxs = vec![f64::NEG_INFINITY; p];
-        for row in x.iter_rows() {
-            for ((lo, hi), &v) in mins.iter_mut().zip(&mut maxs).zip(row) {
-                *lo = lo.min(v);
-                *hi = hi.max(v);
-            }
-        }
-        let ranges = mins
-            .iter()
-            .zip(&maxs)
-            .map(|(&lo, &hi)| if hi > lo { hi - lo } else { 1.0 })
-            .collect();
-        Ok(MinMaxScaler { mins, ranges })
-    }
-
-    /// Number of features the scaler was fitted on.
-    pub fn n_features(&self) -> usize {
-        self.mins.len()
-    }
-
-    /// Applies the learned transform.
-    pub fn transform(&self, x: &Matrix) -> Result<Matrix> {
-        if x.cols() != self.n_features() {
-            return Err(MlError::FeatureMismatch {
-                expected: self.n_features(),
-                actual: x.cols(),
-            });
-        }
-        let mut out = x.clone();
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            for ((v, &lo), &r) in row.iter_mut().zip(&self.mins).zip(&self.ranges) {
-                *v = (*v - lo) / r;
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,22 +190,6 @@ mod tests {
         assert!(StandardScaler::fit(&Matrix::zeros(0, 2)).is_err());
     }
 
-    #[test]
-    fn minmax_maps_to_unit_interval() {
-        let m = MinMaxScaler::fit(&toy()).unwrap();
-        let t = m.transform(&toy()).unwrap();
-        assert_eq!(t.col(0), vec![0.0, 0.5, 1.0]);
-        assert_eq!(t.col(1), vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn minmax_constant_column_maps_to_zero() {
-        let x = Matrix::from_rows(&[&[7.0], &[7.0]]).unwrap();
-        let m = MinMaxScaler::fit(&x).unwrap();
-        assert_eq!(m.transform(&x).unwrap().col(0), vec![0.0, 0.0]);
-        assert!(m.transform(&Matrix::zeros(1, 2)).is_err());
-    }
-
     proptest! {
         #[test]
         fn prop_standardize_then_invert_is_identity(
@@ -274,18 +199,6 @@ mod tests {
             let (scaler, t) = StandardScaler::fit_transform(&x).unwrap();
             let back = scaler.inverse_transform(&t).unwrap();
             prop_assert!(back.sub(&x).unwrap().max_abs() < 1e-8);
-        }
-
-        #[test]
-        fn prop_minmax_output_in_unit_interval(
-            vals in proptest::collection::vec(-1e3_f64..1e3, 12),
-        ) {
-            let x = Matrix::from_vec(6, 2, vals).unwrap();
-            let m = MinMaxScaler::fit(&x).unwrap();
-            let t = m.transform(&x).unwrap();
-            for &v in t.as_slice() {
-                prop_assert!((-1e-12..=1.0 + 1e-12).contains(&v));
-            }
         }
     }
 }

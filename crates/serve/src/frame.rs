@@ -274,10 +274,29 @@ pub fn atomic_replace(
     (result, retries)
 }
 
-/// Where [`quarantine_move`] puts `name` quarantined for `reason`:
-/// `dir/quarantine/<name>.<reason>`.
-pub fn quarantine_path(dir: &Path, name: &str, reason: &str) -> PathBuf {
-    dir.join(QUARANTINE_DIR).join(format!("{name}.{reason}"))
+/// Where [`quarantine_move`] puts `name` quarantined for `reason`: the
+/// first of `dir/quarantine/<name>.<reason>`, `<name>.<reason>.1`,
+/// `<name>.<reason>.2`, … that the quarantine directory does not hold
+/// yet, so a later defect never replaces an earlier one's bytes. A
+/// missing quarantine directory counts as empty.
+pub fn quarantine_path(
+    backend: &dyn StorageBackend,
+    dir: &Path,
+    name: &str,
+    reason: &str,
+) -> io::Result<PathBuf> {
+    let qdir = dir.join(QUARANTINE_DIR);
+    let taken: Vec<String> = match backend.list(&qdir) {
+        Ok(files) => files.iter().map(|f| file_name(f)).collect(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let base = format!("{name}.{reason}");
+    let free = std::iter::once(base.clone())
+        .chain((1..).map(|n| format!("{base}.{n}")))
+        .find(|candidate| !taken.contains(candidate))
+        .expect("some suffix is free");
+    Ok(qdir.join(free))
 }
 
 /// The last component of `path` (lossily UTF-8; empty if there is none).
@@ -288,20 +307,22 @@ pub fn file_name(path: &Path) -> String {
 }
 
 /// Moves the file at `path` to its [`quarantine_path`] beside it —
-/// never deletes it — retrying transient errors. Returns the result and
-/// the retries spent; a file that cannot be moved stays put, and the
-/// next open tries again.
+/// never deletes it — retrying transient errors. Returns where it went
+/// and the retries spent; a file that cannot be moved stays put, and
+/// the next open tries again.
 pub fn quarantine_move(
     backend: &dyn StorageBackend,
     path: &Path,
     reason: &str,
-) -> (io::Result<()>, u64) {
-    let dest = quarantine_path(
-        path.parent().unwrap_or(Path::new("")),
-        &file_name(path),
-        reason,
-    );
-    retry_io(|| backend.rename(path, &dest))
+) -> (io::Result<PathBuf>, u64) {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    let (dest, mut retries) = retry_io(|| quarantine_path(backend, dir, &file_name(path), reason));
+    let moved = dest.and_then(|dest| {
+        let (renamed, r) = retry_io(|| backend.rename(path, &dest));
+        retries += r;
+        renamed.map(|()| dest)
+    });
+    (moved, retries)
 }
 
 /// The generation manifest serialized as [`MANIFEST_NAME`].
@@ -698,11 +719,31 @@ mod tests {
         let dir = temp_dir("quarantine");
         std::fs::write(dir.join("seg.vlog"), b"damaged").unwrap();
         let (res, _) = quarantine_move(&DiskBackend, &dir.join("seg.vlog"), "checksum");
-        assert!(res.is_ok());
-        let dest = quarantine_path(&dir, "seg.vlog", "checksum");
+        let dest = res.unwrap();
         assert_eq!(dest, dir.join("quarantine/seg.vlog.checksum"));
         assert_eq!(std::fs::read(dest).unwrap(), b"damaged");
         assert!(!dir.join("seg.vlog").exists());
+
+        // Later defects of the same name and reason take the next free
+        // suffix: every earlier quarantined copy keeps its bytes.
+        for (again, suffix) in [(&b"damaged again"[..], ".1"), (b"and again", ".2")] {
+            std::fs::write(dir.join("seg.vlog"), again).unwrap();
+            let (res, _) = quarantine_move(&DiskBackend, &dir.join("seg.vlog"), "checksum");
+            let dest = res.unwrap();
+            assert_eq!(
+                dest,
+                dir.join(format!("quarantine/seg.vlog.checksum{suffix}"))
+            );
+            assert_eq!(std::fs::read(dest).unwrap(), again);
+        }
+        assert_eq!(
+            std::fs::read(dir.join("quarantine/seg.vlog.checksum")).unwrap(),
+            b"damaged"
+        );
+        assert_eq!(
+            std::fs::read(dir.join("quarantine/seg.vlog.checksum.1")).unwrap(),
+            b"damaged again"
+        );
 
         // An unmovable file stays where it is.
         std::fs::write(dir.join("x.snap"), b"kept").unwrap();

@@ -250,9 +250,11 @@ pub struct Provenance {
     pub vehicle_id: u32,
     /// Requested horizon.
     pub horizon: usize,
-    /// FNV-1a fingerprint of the serving [`PipelineConfig`]
+    /// Fingerprint of the serving [`PipelineConfig`]
     /// ([`ModelStore::fingerprint`]) — ties the record to the exact
-    /// model/feature/window configuration.
+    /// model/feature/window configuration. It is the store's
+    /// FNV-1a-shaped hash with [`crate::frame::STORE_HASH_PRIME`], not the
+    /// published FNV-1a.
     pub config_fingerprint: u64,
     /// Display label of the model family (`"LR"`, `"RF"`, `"LV"`, …).
     pub model_label: String,

@@ -14,7 +14,6 @@
 //!   decomposition used to explain per-unit series;
 //! - [`pacf`]: partial autocorrelation (Durbin–Levinson), the sharper
 //!   companion diagnostic to the ACF;
-//! - [`smooth`]: trailing moving averages (the MA baseline) and EWMA;
 //! - [`stationarity`]: rolling-statistics drift diagnostics backing the
 //!   paper's claim that per-unit usage is non-stationary;
 //! - [`series`]: a day-indexed utilization series with gap handling and
@@ -32,7 +31,6 @@ pub mod corr;
 pub mod decompose;
 pub mod pacf;
 pub mod series;
-pub mod smooth;
 pub mod stationarity;
 pub mod stats;
 

@@ -1,15 +1,13 @@
-//! The five-step data-preparation pipeline on raw 10-minute CAN reports.
+//! The data-preparation pipeline on raw 10-minute CAN reports.
 //!
 //! Demonstrates the full-fidelity path of the reproduction: synthesize a
 //! month of raw CAN report streams for one vehicle *with connectivity
 //! defects injected* (outages, missing fields, glitch values, duplicate
 //! uploads), run cleaning → daily aggregation → enrichment →
-//! transformation, then normalize the continuous columns and export the
-//! relational table as CSV.
+//! transformation, then export the relational table as CSV.
 //!
 //! Run with: `cargo run --release --example data_preparation`
 
-use vehicle_usage_prediction::dataprep::normalize::{Method, TableNormalizer};
 use vehicle_usage_prediction::dataprep::{csv, pipeline};
 use vehicle_usage_prediction::fleetsim::dropout::DropoutConfig;
 use vehicle_usage_prediction::prelude::*;
@@ -70,22 +68,13 @@ fn main() {
         );
     }
 
-    // Normalize the continuous channels (paper step ii) and export.
-    let normalizer = TableNormalizer::fit(
-        table,
-        &["hours", "fuel_used_l", "avg_rpm", "avg_load_pct"],
-        Method::MinMax,
-    )
-    .expect("columns exist");
-    let normalized = normalizer.apply(table).expect("same schema");
-
-    let out = csv::to_csv(&normalized);
+    // Normalization (paper step ii) is not applied to the exported table:
+    // the models run it as `StandardScaler`, fitted on each training
+    // window, so no statistics of the days being forecast leak into them.
+    let out = csv::to_csv(table);
     let path = std::env::temp_dir().join("prepared_vehicle_days.csv");
     std::fs::write(&path, &out).expect("writable temp dir");
-    println!(
-        "\nNormalized relational table exported to {}",
-        path.display()
-    );
+    println!("\nRelational table exported to {}", path.display());
     println!("First lines:");
     for line in out.lines().take(4) {
         let short: String = line.chars().take(100).collect();

@@ -6,8 +6,7 @@
 //!
 //! - [`fleetsim`] — synthetic heterogeneous fleet + CAN-bus telemetry
 //!   (substitute for the paper's proprietary Tierra dataset);
-//! - [`dataprep`] — columnar relational engine and the five-step data
-//!   preparation pipeline;
+//! - [`dataprep`] — columnar table and the data-preparation pipeline;
 //! - [`tseries`] — autocorrelation, CDFs, boxplot statistics;
 //! - [`ml`] — from-scratch LR / Lasso / SVR / GB regressors plus the LV
 //!   and MA baselines;

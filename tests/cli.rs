@@ -74,6 +74,37 @@ fn simulate_emits_csv_with_header_and_rows() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("column profile"));
 }
 
+/// Pins the whole seeded `simulate` output: every CSV cell (the relational
+/// step-5 table and its float formatting) and the stderr column profile.
+/// The golden files were recorded from this command and must only change
+/// when the simulator or the table format is meant to change.
+#[test]
+fn simulate_output_is_pinned_byte_for_byte() {
+    let out = vup()
+        .args([
+            "simulate",
+            "--vehicles",
+            "10",
+            "--seed",
+            "3",
+            "--id",
+            "1",
+            "--days",
+            "60",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("golden/simulate_seed3_id1_60d.csv")
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        include_str!("golden/simulate_seed3_id1_60d.profile.txt")
+    );
+}
+
 #[test]
 fn simulate_rejects_out_of_range_vehicle() {
     let out = vup()
