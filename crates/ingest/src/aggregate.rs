@@ -198,16 +198,6 @@ impl FleetAggregator {
         self.slot_counts.insert(vehicle, slots);
     }
 
-    /// Scenario-slot count of a vehicle (0 when unknown).
-    pub fn slots_of(&self, vehicle: u32) -> usize {
-        self.slot_counts.get(&vehicle).copied().unwrap_or(0)
-    }
-
-    /// Vehicles seen so far.
-    pub fn vehicles_known(&self) -> usize {
-        self.slot_counts.len()
-    }
-
     /// Records rejected because their day was already sealed.
     pub fn out_of_order(&self) -> u64 {
         self.out_of_order

@@ -6,7 +6,7 @@
 //! front end:
 //!
 //! - [`log`] — a durable append-only **commit log**: CRC-framed,
-//!   length-prefixed records in offset-indexed segments, written
+//!   length-prefixed records in size-capped segments, written
 //!   through `vup-serve`'s [`vup_serve::StorageBackend`] seam so the
 //!   seeded disk-chaos harness applies unchanged. Crash recovery
 //!   truncates to the longest valid prefix and quarantines damage —
@@ -37,8 +37,8 @@ pub mod views;
 
 pub use aggregate::{FleetAggregator, SealedSlot, SharedHistories};
 pub use log::{
-    CommitLog, IndexEntry, LogDefect, LogOptions, LogRecord, LogRecovery, QuarantinedLogFile,
-    SegmentIndex, INDEX_MAGIC, INDEX_VERSION, SEGMENT_MAGIC, SEGMENT_VERSION,
+    CommitLog, LogDefect, LogOptions, LogRecord, LogRecovery, QuarantinedLogFile, SEGMENT_MAGIC,
+    SEGMENT_VERSION,
 };
 pub use replay::{replay, ModelDigest, ReplayConfig, ReplayReport};
 pub use scheduler::{RetrainDecision, RetrainReason, RetrainScheduler, SchedulerConfig};

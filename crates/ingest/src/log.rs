@@ -18,11 +18,12 @@
 //! decode, so an old log opens clean and keeps growing in place.
 //!
 //! A segment is *sealed* once it reaches
-//! [`LogOptions::max_segment_bytes`]; sealing writes a sparse offset
-//! index (`seg-<first-offset>.vidx`, `VUPI` magic, still JSON) so later
-//! reads can seek into the middle of the log without scanning from byte
-//! zero. The index is a rebuildable cache: losing or corrupting it never
-//! loses data.
+//! [`LogOptions::max_segment_bytes`]; sealing only starts the next
+//! segment. Reads walk every segment from byte zero
+//! ([`CommitLog::records`]), since every consumer replays the whole
+//! history. The offset-index files earlier builds wrote beside sealed
+//! segments are foreign files to this build: left alone, never read,
+//! counted or quarantined.
 //!
 //! All I/O goes through the [`StorageBackend`] seam from `vup-serve`,
 //! so the seeded [`vup_serve::FaultyBackend`] disk chaos (torn appends,
@@ -48,13 +49,12 @@
 //! `bytes_seen == bytes_recovered + bytes_quarantined`.
 //!
 //! Whole-file writes use the snapshot store's crash-safe file protocol
-//! from [`vup_serve::frame`], not a copy of it: index files and the
-//! truncate-on-recovery go through [`atomic_replace`] (`<name>.tmp`,
-//! then a rename over the name), and damaged or orphaned files through
+//! from [`vup_serve::frame`], not a copy of it: the truncate-on-recovery
+//! goes through [`atomic_replace`] (`<name>.tmp`, then a rename over the
+//! name), and damaged or orphaned files through
 //! [`quarantine_move`]. Only appends bypass it — a torn append is what
 //! recovery's truncation repairs.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -62,26 +62,20 @@ use serde::{Deserialize, Serialize};
 use vup_fleetsim::canbus::RawReport;
 use vup_obs::{Counter, Registry, Tracer};
 use vup_serve::frame::{
-    atomic_replace, decode_frame_exact, decode_versioned_frame_at, encode_frame, encode_frame_into,
-    file_name, quarantine_move, quarantine_path, retry_io, FrameDefect, HEADER_LEN, TMP_SUFFIX,
+    atomic_replace, decode_versioned_frame_at, encode_frame_into, file_name, quarantine_move,
+    quarantine_path, retry_io, FrameDefect, HEADER_LEN, TMP_SUFFIX,
 };
 use vup_serve::{AppendTarget, StorageBackend};
 
 /// First four bytes of every log-segment frame.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"VUPL";
-/// First four bytes of every offset-index file.
-pub const INDEX_MAGIC: [u8; 4] = *b"VUPI";
 /// Segment-frame version this build writes: the binary record.
 pub const SEGMENT_VERSION: u16 = 2;
 /// Segment-frame version of the JSON record earlier builds wrote;
 /// still read, never written.
 pub const SEGMENT_VERSION_JSON: u16 = 1;
-/// Index-file version this build reads and writes (JSON payload).
-pub const INDEX_VERSION: u16 = 1;
 /// Extension of segment files.
 pub const SEGMENT_EXT: &str = "vlog";
-/// Extension of offset-index files.
-pub const INDEX_EXT: &str = "vidx";
 pub use vup_serve::frame::QUARANTINE_DIR;
 
 /// One telemetry record as it sits in the log: a monotone offset, the
@@ -204,30 +198,21 @@ fn decode_payload(version: u16, payload: &[u8]) -> Option<LogRecord> {
 /// Segment-frame versions this build reads.
 const SEGMENT_VERSIONS: [u16; 2] = [SEGMENT_VERSION_JSON, SEGMENT_VERSION];
 
-/// Smallest possible segment frame: a header and a record with no
-/// channel present. Sizes the index-entry reservation of a segment.
-const MIN_FRAME_LEN: u64 = (HEADER_LEN + RECORD_HEAD_LEN) as u64;
 /// Largest possible segment frame: every channel present. The append
 /// buffer is this big from the start, so it never grows.
 const MAX_FRAME_LEN: usize = HEADER_LEN + RECORD_HEAD_LEN + 8 * CHANNELS;
-/// Cap on the index entries reserved per segment up front (a huge
-/// `max_segment_bytes` grows its entries on demand past this).
-const MAX_RESERVED_ENTRIES: u64 = 1024;
 
 /// Commit-log tunables.
 #[derive(Debug, Clone)]
 pub struct LogOptions {
     /// A segment at or past this size is sealed and a new one started.
     pub max_segment_bytes: u64,
-    /// One sparse index entry is kept every this many frames.
-    pub index_every: u64,
 }
 
 impl Default for LogOptions {
     fn default() -> LogOptions {
         LogOptions {
             max_segment_bytes: 64 * 1024,
-            index_every: 8,
         }
     }
 }
@@ -249,12 +234,9 @@ pub enum LogDefect {
     Io,
     /// A leftover `.tmp` file from an interrupted write.
     Tmp,
-    /// A segment (or index) stranded behind damage earlier in the log:
-    /// its offsets no longer chain onto the recovered prefix.
+    /// A segment stranded behind damage earlier in the log: its
+    /// offsets no longer chain onto the recovered prefix.
     Orphaned,
-    /// An index file that is missing, unreadable or contradicts its
-    /// segment (rebuilt from the segment, which is authoritative).
-    Index,
 }
 
 impl LogDefect {
@@ -268,7 +250,6 @@ impl LogDefect {
             LogDefect::Io => "io",
             LogDefect::Tmp => "tmp",
             LogDefect::Orphaned => "orphaned",
-            LogDefect::Index => "index",
         }
     }
 
@@ -280,28 +261,6 @@ impl LogDefect {
             FrameDefect::TrailingGarbage => LogDefect::Decode,
         }
     }
-}
-
-/// One sparse index entry: frame `offset` starts at byte `pos` of its
-/// segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IndexEntry {
-    /// Log offset of the frame.
-    pub offset: u64,
-    /// Byte position of the frame inside the segment file.
-    pub pos: u64,
-}
-
-/// The offset index written beside a sealed segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SegmentIndex {
-    /// First log offset in the segment (also encoded in its name).
-    pub first_offset: u64,
-    /// Number of frames in the segment.
-    pub frames: u64,
-    /// Sparse entries, every [`LogOptions::index_every`] frames
-    /// (always including the segment's first frame).
-    pub entries: Vec<IndexEntry>,
 }
 
 /// One quarantined file (or file tail) in a [`LogRecovery`] report.
@@ -327,8 +286,8 @@ fn quarantined_name(name: &str, defect: LogDefect, dest: io::Result<PathBuf>) ->
 ///
 /// Byte accounting invariant (pinned by property tests):
 /// `bytes_seen == bytes_recovered + bytes_quarantined`, where *seen*
-/// counts every readable log byte on disk before the open (segments,
-/// indexes, temp files), *recovered* counts the bytes of those files
+/// counts every readable log byte on disk before the open (segments and
+/// temp files), *recovered* counts the bytes of those files
 /// still live afterwards, and *quarantined* counts the bytes moved
 /// into `quarantine/`. Nothing is ever deleted.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -345,9 +304,6 @@ pub struct LogRecovery {
     pub bytes_quarantined: u64,
     /// Every quarantined file/tail, in processing order.
     pub quarantined: Vec<QuarantinedLogFile>,
-    /// Sealed-segment indexes rewritten because they were missing,
-    /// unreadable or contradicted their segment.
-    pub indexes_rebuilt: usize,
     /// Transient-io retries spent during recovery.
     pub io_retries: u64,
     /// The offset the next append will receive.
@@ -367,7 +323,7 @@ struct IngestMetrics {
     appends: Counter,
     /// `vup_ingest_appended_bytes_total` — framed bytes appended.
     appended_bytes: Counter,
-    /// `vup_ingest_segments_sealed_total` — segments sealed (index written).
+    /// `vup_ingest_segments_sealed_total` — segments sealed.
     segments_sealed: Counter,
     /// `vup_ingest_frames_recovered_total` — frames recovered at open.
     frames_recovered: Counter,
@@ -386,7 +342,7 @@ impl IngestMetrics {
         );
         registry.describe(
             "vup_ingest_segments_sealed_total",
-            "Commit-log segments sealed (offset index written).",
+            "Commit-log segments sealed (next segment started).",
         );
         registry.describe(
             "vup_ingest_frames_recovered_total",
@@ -411,13 +367,10 @@ impl IngestMetrics {
     }
 }
 
-/// One surviving segment as recovery left it.
+/// One live segment: where it starts and how many bytes it holds.
 struct SegmentState {
     first_offset: u64,
     bytes: u64,
-    frames: u64,
-    /// Sparse index entries (first frame + every `index_every`-th).
-    entries: Vec<IndexEntry>,
 }
 
 /// The durable append-only telemetry commit log.
@@ -443,15 +396,10 @@ impl CommitLog {
         format!("seg-{first_offset:012}.{SEGMENT_EXT}")
     }
 
-    /// Canonical index file name for a first offset.
-    pub fn index_name(first_offset: u64) -> String {
-        format!("seg-{first_offset:012}.{INDEX_EXT}")
-    }
-
-    /// Parses a segment/index file name back to its first offset.
-    fn parse_name(name: &str, ext: &str) -> Option<u64> {
+    /// Parses a segment file name back to its first offset.
+    fn parse_name(name: &str) -> Option<u64> {
         let rest = name.strip_prefix("seg-")?;
-        let digits = rest.strip_suffix(&format!(".{ext}"))?;
+        let digits = rest.strip_suffix(&format!(".{SEGMENT_EXT}"))?;
         if digits.len() != 12 || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
@@ -460,8 +408,8 @@ impl CommitLog {
 
     /// Opens (or creates) the log in `dir`, running crash recovery:
     /// quarantines temp files and damaged tails, truncates the tail
-    /// segment back to its last valid frame, orphans anything behind
-    /// the damage, and validates/rebuilds the sealed-segment indexes.
+    /// segment back to its last valid frame, and orphans anything
+    /// behind the damage.
     ///
     /// Only a failure to create or list the directory is fatal; any
     /// per-file damage is quarantined and the log opens on the longest
@@ -491,19 +439,17 @@ impl CommitLog {
         let (listed, r) = retry_io(|| log.backend.list(&log.dir));
         stats.io_retries += r;
         let mut segment_files: Vec<(u64, String)> = Vec::new();
-        let mut index_files: BTreeMap<u64, String> = BTreeMap::new();
         for path in listed? {
             let name = file_name(&path);
             if name.ends_with(TMP_SUFFIX) {
                 log.quarantine_file(&path, &name, LogDefect::Tmp, &mut stats);
                 continue;
             }
-            if let Some(first) = Self::parse_name(&name, SEGMENT_EXT) {
+            if let Some(first) = Self::parse_name(&name) {
                 segment_files.push((first, name));
-            } else if let Some(first) = Self::parse_name(&name, INDEX_EXT) {
-                index_files.insert(first, name);
             }
-            // Foreign files are left alone.
+            // Foreign files, the offset indexes of earlier builds among
+            // them, are left alone.
         }
         segment_files.sort_unstable();
         stats.segments_seen = segment_files.len();
@@ -532,10 +478,13 @@ impl CommitLog {
             };
             stats.bytes_seen += bytes.len() as u64;
             span.add_bytes(bytes.len() as u64);
-            let (state, valid_bytes, defect) =
-                Self::scan_segment(&bytes, named_first, log.options.index_every);
-            stats.frames_recovered += state.frames;
-            log.next_offset = state.first_offset + state.frames;
+            let (frames, valid_bytes, defect) = Self::scan_segment(&bytes, named_first);
+            stats.frames_recovered += frames;
+            log.next_offset = named_first + frames;
+            let state = SegmentState {
+                first_offset: named_first,
+                bytes: valid_bytes,
+            };
             match defect {
                 None => {
                     stats.bytes_recovered += valid_bytes;
@@ -552,66 +501,6 @@ impl CommitLog {
             }
         }
 
-        // Validate the sealed-segment indexes against the segments just
-        // scanned (the segment is authoritative); quarantine and
-        // rebuild anything missing or contradictory. The active (last)
-        // segment has no index yet — a leftover one (tail damage
-        // un-sealed the segment) is stale and quarantined.
-        let n = log.segments.len();
-        for i in 0..n {
-            let first = log.segments[i].first_offset;
-            let expected = SegmentIndex {
-                first_offset: first,
-                frames: log.segments[i].frames,
-                entries: log.segments[i].entries.clone(),
-            };
-            let sealed = i + 1 < n;
-            let on_disk = index_files.remove(&first);
-            let disk_index = on_disk.as_ref().and_then(|name| {
-                let (read, r) = retry_io(|| log.backend.read(&log.dir.join(name)));
-                stats.io_retries += r;
-                let bytes = read.ok()?;
-                let payload = decode_frame_exact(INDEX_MAGIC, INDEX_VERSION, &bytes).ok()?;
-                let parsed: SegmentIndex =
-                    serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
-                Some((bytes.len() as u64, parsed))
-            });
-            match (sealed, disk_index) {
-                // Bytes of a kept index are counted here; quarantined
-                // indexes are counted by `quarantine_file` instead.
-                (true, Some((len, parsed))) if parsed == expected => {
-                    stats.bytes_seen += len;
-                    stats.bytes_recovered += len;
-                }
-                (true, _) => {
-                    if let Some(name) = on_disk {
-                        log.quarantine_file(
-                            &log.dir.join(&name),
-                            &name,
-                            LogDefect::Index,
-                            &mut stats,
-                        );
-                    }
-                    log.write_index(&expected, &mut stats.io_retries);
-                    stats.indexes_rebuilt += 1;
-                }
-                (false, _) => {
-                    if let Some(name) = on_disk {
-                        log.quarantine_file(
-                            &log.dir.join(&name),
-                            &name,
-                            LogDefect::Index,
-                            &mut stats,
-                        );
-                    }
-                }
-            }
-        }
-        // Indexes with no surviving segment are orphans.
-        for (_, name) in index_files {
-            log.quarantine_file(&log.dir.join(&name), &name, LogDefect::Orphaned, &mut stats);
-        }
-
         if !log.segments.is_empty() {
             log.activate_last();
         }
@@ -625,20 +514,10 @@ impl CommitLog {
         Ok((log, stats))
     }
 
-    /// Walks one segment's frames, returning its surviving state, the
-    /// length of the valid prefix in bytes, and the defect that ended
-    /// the walk (`None` when every byte decoded).
-    fn scan_segment(
-        bytes: &[u8],
-        first_offset: u64,
-        index_every: u64,
-    ) -> (SegmentState, u64, Option<LogDefect>) {
-        let mut state = SegmentState {
-            first_offset,
-            bytes: 0,
-            frames: 0,
-            entries: Vec::new(),
-        };
+    /// Walks one segment's frames, returning how many frames form its
+    /// valid prefix, the length of that prefix in bytes, and the defect
+    /// that ended the walk (`None` when every byte decoded).
+    fn scan_segment(bytes: &[u8], first_offset: u64) -> (u64, u64, Option<LogDefect>) {
         let mut at = 0usize;
         let mut next = first_offset;
         let defect = loop {
@@ -649,22 +528,14 @@ impl CommitLog {
                 Err(defect) => break Some(LogDefect::from_frame(defect)),
                 Ok((version, payload, frame_len)) => match decode_payload(version, payload) {
                     Some(record) if record.offset == next => {
-                        if state.frames.is_multiple_of(index_every) {
-                            state.entries.push(IndexEntry {
-                                offset: next,
-                                pos: at as u64,
-                            });
-                        }
-                        state.frames += 1;
                         next += 1;
                         at += frame_len;
-                        state.bytes = at as u64;
                     }
                     _ => break Some(LogDefect::Decode),
                 },
             }
         };
-        (state, at as u64, defect)
+        (next - first_offset, at as u64, defect)
     }
 
     /// Moves a whole file into `quarantine/<name>.<defect>` with
@@ -725,22 +596,11 @@ impl CommitLog {
         });
     }
 
-    /// Writes (or rewrites) a segment's offset index with
-    /// [`atomic_replace`]. Best effort: the index is a cache, so a failed
-    /// write never fails the caller.
-    fn write_index(&self, index: &SegmentIndex, io_retries: &mut u64) {
-        let payload = serde_json::to_string(index).expect("segment index serializes");
-        let bytes = encode_frame(INDEX_MAGIC, INDEX_VERSION, payload.as_bytes());
-        let name = Self::index_name(index.first_offset);
-        let (_, r) = atomic_replace(self.backend.as_ref(), &self.dir, &name, &bytes);
-        *io_retries += r;
-    }
-
     /// Appends one report, returning the offset it was assigned.
     ///
     /// O(1) in log size: one framed append to the active segment —
     /// through the segment's held-open handle on the real filesystem —
-    /// plus a seal + roll when the segment is full. A torn
+    /// plus a roll to a new segment when the active one is full. A torn
     /// append (injected or a real crash) leaves a damaged tail that
     /// the next [`CommitLog::open`] truncates away. The record is
     /// framed into a buffer the log keeps, so an append that does not
@@ -763,13 +623,6 @@ impl CommitLog {
         res?;
         let frame_len = self.frame.len() as u64;
         let active = self.segments.last_mut().expect("active segment exists");
-        if active.frames.is_multiple_of(self.options.index_every) {
-            active.entries.push(IndexEntry {
-                offset,
-                pos: active.bytes,
-            });
-        }
-        active.frames += 1;
         active.bytes += frame_len;
         self.next_offset = offset + 1;
         self.metrics.appends.inc();
@@ -777,68 +630,37 @@ impl CommitLog {
         Ok(offset)
     }
 
-    /// Seals the active segment (writes its offset index) and starts a
-    /// new one at `first_offset`.
+    /// Seals the active segment, if any, and starts a new one at
+    /// `first_offset`. Sealing writes nothing: the full segment simply
+    /// stops taking appends.
     fn seal_active(&mut self, first_offset: u64) {
-        if let Some(active) = self.segments.last() {
-            let index = SegmentIndex {
-                first_offset: active.first_offset,
-                frames: active.frames,
-                entries: active.entries.clone(),
-            };
-            let mut retries = 0;
-            self.write_index(&index, &mut retries);
-            self.metrics.io_retries.add(retries);
+        if !self.segments.is_empty() {
             self.metrics.segments_sealed.inc();
         }
         self.segments.push(SegmentState {
             first_offset,
             bytes: 0,
-            frames: 0,
-            entries: Vec::new(),
         });
         self.activate_last();
     }
 
-    /// Makes the last segment the append target — replacing the old
-    /// target closes the previous segment's handle — and reserves index
-    /// entries for a full segment of the smallest frames, so appends
-    /// until the next roll never grow them.
+    /// Makes the last segment the append target; replacing the old
+    /// target closes the previous segment's handle.
     fn activate_last(&mut self) {
-        let per_segment = (self.options.max_segment_bytes / MIN_FRAME_LEN + 1)
-            .div_ceil(self.options.index_every.max(1))
-            .min(MAX_RESERVED_ENTRIES) as usize;
-        let active = self.segments.last_mut().expect("a segment to activate");
-        active
-            .entries
-            .reserve(per_segment.saturating_sub(active.entries.len()));
+        let active = self.segments.last().expect("a segment to activate");
         self.active = AppendTarget::new(self.dir.join(Self::segment_name(active.first_offset)));
     }
 
-    /// Reads every record from `offset` (inclusive) to the log's end,
-    /// seeking into the containing segment through its offset index
-    /// when one is on disk and `offset` is past the segment's first
-    /// record.
-    pub fn read_from(&self, offset: u64) -> io::Result<Vec<LogRecord>> {
+    /// Every record in the log, in offset order: each segment read and
+    /// decoded from byte zero.
+    pub fn records(&self) -> io::Result<Vec<LogRecord>> {
         let mut records = Vec::new();
-        let start = self
-            .segments
-            .iter()
-            .rposition(|s| s.first_offset <= offset)
-            .unwrap_or(0);
-        for (i, segment) in self.segments.iter().enumerate().skip(start) {
+        for segment in &self.segments {
             let path = self.dir.join(Self::segment_name(segment.first_offset));
             let (read, r) = retry_io(|| self.backend.read(&path));
             self.metrics.io_retries.add(r);
             let bytes = read?;
-            // Seek via the on-disk index for the segment containing
-            // `offset`, unless `offset` is its first record; later
-            // segments are read from byte zero anyway.
-            let mut at = if i == start && offset > segment.first_offset {
-                self.seek_pos(segment, offset)
-            } else {
-                0
-            };
+            let mut at = 0;
             while at < bytes.len() {
                 let (version, payload, frame_len) =
                     decode_versioned_frame_at(SEGMENT_MAGIC, &SEGMENT_VERSIONS, &bytes, at)
@@ -855,43 +677,11 @@ impl CommitLog {
                 let record = decode_payload(version, payload).ok_or_else(|| {
                     io::Error::new(io::ErrorKind::InvalidData, "undecodable log record")
                 })?;
-                if record.offset >= offset {
-                    records.push(record);
-                }
+                records.push(record);
                 at += frame_len;
             }
         }
         Ok(records)
-    }
-
-    /// Byte position to start scanning `segment` for `offset`: the
-    /// largest on-disk index entry at or before it, or zero when the
-    /// index is absent or unusable (it is only a cache).
-    fn seek_pos(&self, segment: &SegmentState, offset: u64) -> usize {
-        let path = self.dir.join(Self::index_name(segment.first_offset));
-        let Ok(bytes) = self.backend.read(&path) else {
-            return 0;
-        };
-        let Ok(payload) = decode_frame_exact(INDEX_MAGIC, INDEX_VERSION, &bytes) else {
-            return 0;
-        };
-        let Some(index) = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| serde_json::from_str::<SegmentIndex>(text).ok())
-        else {
-            return 0;
-        };
-        index
-            .entries
-            .iter()
-            .rev()
-            .find(|e| e.offset <= offset)
-            .map_or(0, |e| e.pos as usize)
-    }
-
-    /// Every record in the log, in offset order.
-    pub fn records(&self) -> io::Result<Vec<LogRecord>> {
-        self.read_from(0)
     }
 
     /// The offset the next append will receive (== records written).
@@ -915,6 +705,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
     use vup_obs::{Registry, Tracer};
+    use vup_serve::frame::encode_frame;
     use vup_serve::DiskBackend;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1031,7 +822,6 @@ mod tests {
         let dir = temp_dir("handle");
         let options = LogOptions {
             max_segment_bytes: 600,
-            index_every: 2,
         };
         // The fault injector passes the held handle through as well.
         let faulty = temp_dir("handle-faulty");
@@ -1067,48 +857,41 @@ mod tests {
     }
 
     #[test]
-    fn reads_from_a_segment_start_skip_the_index_and_mid_segment_reads_seek() {
-        let dir = temp_dir("seek");
+    fn segments_roll_and_a_seal_writes_nothing_beside_them() {
+        let dir = temp_dir("roll");
         let options = LogOptions {
             max_segment_bytes: 600,
-            index_every: 2,
         };
         {
             let (mut log, _) = open(&dir, options.clone());
             for i in 0..12u64 {
                 log.append(0, &report(17000, i as u16)).unwrap();
             }
+            assert!(log.segment_count() > 1, "expected a roll");
         }
         let (log, seen) = open_recording(&dir, options);
-        assert!(
-            log.segment_count() > 1,
-            "offset 3 must sit in a sealed segment"
-        );
-        assert!(log.segments[1].first_offset > 3);
+        assert!(log.segment_count() > 1);
+        // The directory holds the segments and the quarantine directory,
+        // nothing else: sealing only started the next segment.
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| file_name(&e.unwrap().path()))
+            .collect();
+        on_disk.sort();
+        let mut expected = segment_names(&log);
+        expected.insert(0, QUARANTINE_DIR.to_string());
+        assert_eq!(on_disk, expected);
         seen.lock().unwrap().reads.clear();
 
-        assert_eq!(log.records().unwrap().len(), 12);
-        let reads = std::mem::take(&mut seen.lock().unwrap().reads);
-        assert_eq!(reads, segment_names(&log), "records() reads no index");
-
-        let tail = log.read_from(3).unwrap();
+        // Records chain across the rolls, and reading them reads each
+        // segment once and no other file.
+        let records = log.records().unwrap();
         assert_eq!(
-            tail.iter().map(|r| r.offset).collect::<Vec<_>>(),
-            (3..12).collect::<Vec<_>>()
+            records.iter().map(|r| r.offset).collect::<Vec<_>>(),
+            (0..12).collect::<Vec<_>>()
         );
         let reads = std::mem::take(&mut seen.lock().unwrap().reads);
-        let indexes: Vec<&String> = reads.iter().filter(|n| n.ends_with(INDEX_EXT)).collect();
-        assert_eq!(indexes, [&CommitLog::index_name(0)]);
-
-        // The seek really skips the bytes before offset 3's index entry:
-        // with the first frame damaged, reading from 3 still succeeds
-        // while reading from the start fails on the damage.
-        let seg = dir.join(CommitLog::segment_name(0));
-        let mut bytes = std::fs::read(&seg).unwrap();
-        bytes[HEADER_LEN] ^= 0x01;
-        std::fs::write(&seg, &bytes).unwrap();
-        assert_eq!(log.read_from(3).unwrap(), tail);
-        assert!(log.records().is_err());
+        assert_eq!(reads, segment_names(&log));
     }
 
     fn invariant(stats: &LogRecovery) {
@@ -1145,32 +928,6 @@ mod tests {
             assert_eq!(rec.vehicle_id, (i % 3) as u32);
             assert_eq!(rec.report, written[i]);
         }
-    }
-
-    #[test]
-    fn segments_roll_and_sealed_ones_get_indexes() {
-        let dir = temp_dir("roll");
-        let options = LogOptions {
-            max_segment_bytes: 600,
-            index_every: 2,
-        };
-        let (mut log, _) = open(&dir, options.clone());
-        for i in 0..12u64 {
-            log.append(0, &report(17000, i as u16)).unwrap();
-        }
-        assert!(log.segment_count() > 1, "expected a roll");
-        // Every sealed segment has an index beside it.
-        for s in &log.segments[..log.segments.len() - 1] {
-            assert!(dir.join(CommitLog::index_name(s.first_offset)).exists());
-        }
-        // The active segment has none.
-        let active = log.segments.last().unwrap().first_offset;
-        assert!(!dir.join(CommitLog::index_name(active)).exists());
-        // read_from an offset inside a later segment still sees the tail.
-        let later = log.segments[1].first_offset;
-        let records = log.read_from(later).unwrap();
-        assert_eq!(records.first().unwrap().offset, later);
-        assert_eq!(records.last().unwrap().offset, 11);
     }
 
     #[test]
@@ -1225,7 +982,6 @@ mod tests {
         // Two ~112-byte frames per segment, so 12 appends span 6.
         let options = LogOptions {
             max_segment_bytes: 150,
-            index_every: 4,
         };
         {
             let (mut log, _) = open(&dir, options.clone());
@@ -1244,8 +1000,8 @@ mod tests {
         let (log, stats) = open(&dir, options);
         invariant(&stats);
         // The prefix before the flipped frame survives; everything
-        // after (tail of segment 0, all later segments and their
-        // indexes) is quarantined, nothing deleted.
+        // after (tail of segment 0 and all later segments) is
+        // quarantined, nothing deleted.
         assert!(stats.frames_recovered < 12);
         assert_eq!(stats.next_offset, stats.frames_recovered);
         // The damaged tail of segment 0 is quarantined under whichever
@@ -1264,36 +1020,6 @@ mod tests {
             .map(|e| e.unwrap().metadata().unwrap().len())
             .sum();
         assert_eq!(held, stats.bytes_quarantined);
-    }
-
-    #[test]
-    fn corrupt_index_is_quarantined_and_rebuilt_from_the_segment() {
-        let dir = temp_dir("index");
-        let options = LogOptions {
-            max_segment_bytes: 600,
-            index_every: 2,
-        };
-        {
-            let (mut log, _) = open(&dir, options.clone());
-            for i in 0..12u64 {
-                log.append(0, &report(17000, i as u16)).unwrap();
-            }
-            assert!(log.segment_count() > 1);
-        }
-        let idx = dir.join(CommitLog::index_name(0));
-        let good = std::fs::read(&idx).unwrap();
-        std::fs::write(&idx, b"not an index").unwrap();
-
-        let (_, stats) = open(&dir, options.clone());
-        invariant(&stats);
-        assert_eq!(stats.indexes_rebuilt, 1);
-        assert!(stats.quarantined.iter().any(|q| q.reason == "index"));
-        // The rebuilt index matches the one sealing originally wrote.
-        assert_eq!(std::fs::read(&idx).unwrap(), good);
-        // A second open is clean: the rebuilt index validates.
-        let (_, stats) = open(&dir, options);
-        assert_eq!(stats.indexes_rebuilt, 0);
-        assert!(stats.quarantined.is_empty());
     }
 
     #[test]
@@ -1402,37 +1128,28 @@ mod tests {
         let dir = temp_dir("v1");
         let options = LogOptions {
             max_segment_bytes: 64 * 1024,
-            index_every: 2,
         };
         // What earlier builds left on disk: a sealed segment of four
-        // JSON frames with its JSON index, and an active segment of
-        // three JSON frames.
+        // JSON frames with its JSON offset index, and an active segment
+        // of three JSON frames.
         let mut written = Vec::new();
         let mut sealed = Vec::new();
-        let mut entries = Vec::new();
+        let mut third_frame_at = 0;
         for i in 0..4u64 {
-            if i % 2 == 0 {
-                entries.push(IndexEntry {
-                    offset: i,
-                    pos: sealed.len() as u64,
-                });
+            if i == 2 {
+                third_frame_at = sealed.len();
             }
             let r = report(17000, i as u16 * 10);
             sealed.extend_from_slice(&v1_frame(i, 1, &r));
             written.push((1u32, r));
         }
         std::fs::write(dir.join(CommitLog::segment_name(0)), &sealed).unwrap();
-        let index = SegmentIndex {
-            first_offset: 0,
-            frames: 4,
-            entries,
-        };
-        let index_json = serde_json::to_string(&index).unwrap();
-        std::fs::write(
-            dir.join(CommitLog::index_name(0)),
-            encode_frame(INDEX_MAGIC, INDEX_VERSION, index_json.as_bytes()),
-        )
-        .unwrap();
+        let index_json = format!(
+            r#"{{"first_offset":0,"frames":4,"entries":[{{"offset":0,"pos":0}},{{"offset":2,"pos":{third_frame_at}}}]}}"#
+        );
+        let index = encode_frame(*b"VUPI", 1, index_json.as_bytes());
+        let index_path = dir.join("seg-000000000000.vidx");
+        std::fs::write(&index_path, &index).unwrap();
         let mut active = Vec::new();
         for i in 4..7u64 {
             let r = report(17001, i as u16 * 10);
@@ -1442,10 +1159,15 @@ mod tests {
         let active_path = dir.join(CommitLog::segment_name(4));
         std::fs::write(&active_path, &active).unwrap();
 
+        // The old index is a foreign file: recovery neither reads,
+        // counts nor quarantines it, so only segment bytes are seen, and
+        // it stays in place byte for byte.
         let check = |log: &CommitLog, stats: &LogRecovery, written: &[(u32, RawReport)]| {
             invariant(stats);
             assert!(stats.quarantined.is_empty(), "{stats:?}");
-            assert_eq!(stats.indexes_rebuilt, 0);
+            let segment_bytes = std::fs::read(&active_path).unwrap().len() + sealed.len();
+            assert_eq!(stats.bytes_seen, segment_bytes as u64);
+            assert_eq!(std::fs::read(&index_path).unwrap(), index);
             assert_eq!(stats.frames_recovered, written.len() as u64);
             let records = log.records().unwrap();
             assert_eq!(records.len(), written.len());
@@ -1453,8 +1175,6 @@ mod tests {
                 assert_eq!(rec.offset, i as u64);
                 assert_eq!((rec.vehicle_id, &rec.report), (*vehicle, r));
             }
-            // Seeking through the JSON index of the sealed segment.
-            assert_eq!(log.read_from(3).unwrap()[0].offset, 3);
         };
         let (mut log, stats) = open(&dir, options.clone());
         check(&log, &stats, &written);

@@ -17,8 +17,8 @@
 //! - appending through the held-open segment handle leaves exactly the
 //!   bytes per-call appends (open + write + close) leave, under the same
 //!   seeded faults, and recovers to an equal report;
-//! - a crash at every mutating I/O op of an append + seal + roll run
-//!   recovers every acknowledged record with balanced byte accounting.
+//! - a crash at every mutating I/O op of an append + roll run recovers
+//!   every acknowledged record with balanced byte accounting.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -188,7 +188,6 @@ fn assert_contract(
         second.quarantined.is_empty(),
         "second open must be clean: {second:?}"
     );
-    assert_eq!(second.indexes_rebuilt, 0);
     stats.frames_recovered
 }
 
@@ -315,16 +314,15 @@ impl StorageBackend for CrashAt {
     }
 }
 
-/// Crash at every mutating op of an append + seal + roll run, landing
+/// Crash at every mutating op of an append + roll run, landing
 /// none, one, a header's worth or most of a frame's bytes of the op the
 /// crash hits: recovery balances every byte and keeps exactly the
 /// records whose appends returned `Ok`.
 #[test]
 fn a_crash_at_every_io_op_recovers_every_acknowledged_record() {
-    // About two frames per segment, so ten appends seal and roll often.
+    // About two frames per segment, so ten appends roll often.
     let options = LogOptions {
         max_segment_bytes: 200,
-        index_every: 1,
     };
     let appends = 10_u64;
     for keep in [0_usize, 1, 17, 60] {
@@ -363,13 +361,14 @@ fn a_crash_at_every_io_op_recovers_every_acknowledged_record() {
             let _ = std::fs::remove_dir_all(&dir);
             if written.len() as u64 == appends {
                 // `crash_at` is past the last op: the run is done.
-                assert!(rolls > 3, "the run must seal and roll");
+                assert!(rolls > 3, "the run must roll");
                 break;
             }
             crashes += 1;
         }
-        // Ten appends plus an index write and rename per seal.
-        assert!(crashes > appends, "only {crashes} crash points");
+        // A seal writes nothing, so the appends are the only mutating
+        // ops: exactly one crash point each.
+        assert_eq!(crashes, appends, "crash points of {appends} appends");
     }
 }
 
@@ -392,7 +391,7 @@ proptest! {
         segment_bytes in prop_oneof![Just(300_u64), Just(1_000_u64), Just(64 * 1024_u64)],
     ) {
         let case = seed ^ (n as u64) << 10;
-        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 3 };
+        let options = LogOptions { max_segment_bytes: segment_bytes };
         let plan = DiskFaultPlan {
             torn_write_rate: torn_rate,
             torn_write_byte: torn_byte,
@@ -449,7 +448,7 @@ proptest! {
         segment_bytes in prop_oneof![Just(400_u64), Just(2_000_u64), Just(64 * 1024_u64)],
     ) {
         let dir = temp_dir("chaos", seed ^ (n as u64) << 10);
-        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 4 };
+        let options = LogOptions { max_segment_bytes: segment_bytes };
         let plan = DiskFaultPlan {
             torn_write_rate: torn_rate,
             torn_write_byte: torn_byte,
@@ -496,7 +495,7 @@ proptest! {
         segment_bytes in prop_oneof![Just(500_u64), Just(64 * 1024_u64)],
     ) {
         let dir = temp_dir("cut", (n as u64) << 20 | cut_back);
-        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 3 };
+        let options = LogOptions { max_segment_bytes: segment_bytes };
         let mut written = Vec::new();
         {
             let (mut log, _) = open_clean(&dir, options.clone());
@@ -571,7 +570,7 @@ proptest! {
             h.wrapping_mul(31) ^ u64::from(*v) ^ r.day as u64
         });
         let dir = temp_dir("codec", case);
-        let options = LogOptions { max_segment_bytes: segment_bytes, index_every: 2 };
+        let options = LogOptions { max_segment_bytes: segment_bytes };
         {
             let (mut log, _) = open_clean(&dir, options.clone());
             for (vehicle, report) in &reports {

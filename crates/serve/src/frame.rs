@@ -22,8 +22,8 @@
 //! The file protocol (DESIGN.md §5) is written out once, here:
 //!
 //! - [`atomic_replace`] — write `<name>.tmp`, rename it over `<name>`,
-//!   remove the temp file on failure. Snapshot persist, the manifest,
-//!   the commit log's index files and its truncate-on-recovery use it.
+//!   remove the temp file on failure. Snapshot persist, the manifest
+//!   and the commit log's truncate-on-recovery use it.
 //! - [`quarantine_move`] — rename a damaged file to
 //!   `quarantine/<name>.<reason>`, never delete it. Snapshot recovery
 //!   and commit-log recovery use it.

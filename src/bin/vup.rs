@@ -154,14 +154,15 @@ SUBCOMMANDS:
                bumped. Check afterwards with `vup store verify`
                usage: vup shard rebalance ROOT --from N --to M [--json]
     ingest     Append simulated 10-minute CAN reports to a durable
-               commit log (CRC-framed segments + offset indexes under
-               --dir). Reopening first recovers: torn tails are cut to
-               the last valid frame and quarantined, never deleted,
-               then appends resume at the recovered offset
+               commit log (CRC-framed segments under --dir). Reopening
+               first recovers: torn tails are cut to the last valid
+               frame and quarantined, never deleted, then appends
+               resume at the recovered offset
                flags: --dir DIR (required) --vehicles N --seed S
                       --days D (default 14) --start-day D (default 0,
                       day offset to resume a stream from)
-                      --segment-bytes B (default 65536) --index-every K
+                      --segment-bytes B (default 65536) : seal a segment
+                      and start the next once it reaches B bytes
                       --shift-vehicle I --shift-day D --shift-factor F :
                       scale vehicle I's utilization by F from day D on
                       (injects a usage drift for the retrain monitors)
@@ -176,6 +177,8 @@ SUBCOMMANDS:
                at any --threads
                flags: --dir DIR (required) --vehicles N --seed S
                       --limit R : replay only the first R records
+                      --faults PATH : recover and read the log through
+                      the plan's seeded faulty disk backend
                       --threads T (default 0 = one per core)
                       --scenario next-day|next-working-day
                       --model svr|linear|lasso|gbm|lv|ma
@@ -249,7 +252,7 @@ const SERVICE_FLAGS: &[&str] = &[
     "store-dir",
 ];
 /// Flags [`open_commit_log`] reads.
-const LOG_FLAGS: &[&str] = &["dir", "faults", "segment-bytes", "index-every"];
+const LOG_FLAGS: &[&str] = &["dir", "faults"];
 
 /// Rejects any flag outside `known`, so a removed or misspelt flag fails
 /// instead of being silently ignored.
@@ -1542,12 +1545,13 @@ fn cmd_shard_rebalance(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Opens the commit log under `--dir`, optionally routed through the
-/// seeded faulty disk backend from a `--faults` plan, and prints the
-/// recovery summary to stderr (quarantines are operator news, not
-/// payload).
+/// Opens the commit log under `--dir` with `options`, optionally routed
+/// through the seeded faulty disk backend from a `--faults` plan, and
+/// prints the recovery summary to stderr (quarantines are operator news,
+/// not payload).
 fn open_commit_log(
     flags: &HashMap<String, String>,
+    options: LogOptions,
     registry: &Registry,
     tracer: &Tracer,
 ) -> Result<(CommitLog, LogRecovery, String), String> {
@@ -1555,14 +1559,6 @@ fn open_commit_log(
         return Err("ingest/replay need --dir DIR (the commit-log directory)".into());
     };
     let backend = storage_backend(fault_plan_flag(flags)?.as_ref());
-    let defaults = LogOptions::default();
-    let options = LogOptions {
-        max_segment_bytes: flag(flags, "segment-bytes", defaults.max_segment_bytes)?,
-        index_every: flag(flags, "index-every", defaults.index_every)?,
-    };
-    if options.max_segment_bytes == 0 || options.index_every == 0 {
-        return Err("--segment-bytes and --index-every must be positive".into());
-    }
     let (log, recovery) = CommitLog::open(
         backend,
         std::path::Path::new(&dir),
@@ -1596,6 +1592,7 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
             &[
                 "days",
                 "start-day",
+                "segment-bytes",
                 "shift-vehicle",
                 "shift-day",
                 "shift-factor",
@@ -1622,8 +1619,15 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
             factor: flag(flags, "shift-factor", 2.0_f64)?,
         }),
     };
+    let default_bytes = LogOptions::default().max_segment_bytes;
+    let max_segment_bytes = flag(flags, "segment-bytes", default_bytes)?;
+    if max_segment_bytes == 0 {
+        return Err("--segment-bytes must be positive".into());
+    }
     let stats_dest = flags.get("stats").cloned();
-    let (mut log, _, dir) = open_commit_log(flags, &Registry::disabled(), &Tracer::disabled())?;
+    let options = LogOptions { max_segment_bytes };
+    let (mut log, _, dir) =
+        open_commit_log(flags, options, &Registry::disabled(), &Tracer::disabled())?;
     let config = StreamConfig {
         start_offset,
         days,
@@ -1713,7 +1717,7 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
         Tracer::disabled()
     };
 
-    let (log, recovery, dir) = open_commit_log(flags, &registry, &tracer)?;
+    let (log, recovery, dir) = open_commit_log(flags, LogOptions::default(), &registry, &tracer)?;
     let mut records = log
         .records()
         .map_err(|e| format!("cannot read commit log '{dir}': {e}"))?;

@@ -1107,6 +1107,26 @@ fn subcommands_reject_flags_they_do_not_read() {
     assert!(!out.status.success(), "an unknown ingest flag must fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --segment-byte"));
     assert!(!dir.exists(), "no log may be opened after a flag error");
+
+    // Log flags a subcommand does not read: the log keeps no offset
+    // index, and replay never appends, so it takes no segment size.
+    for (command, name, value) in [
+        ("ingest", "index-every", "8"),
+        ("replay", "segment-bytes", "4000"),
+    ] {
+        let out = vup()
+            .args([command, "--dir", dir.to_str().unwrap(), "--vehicles", "2"])
+            .args([&format!("--{name}"), value])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{command} --{name} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --{name}")),
+            "{stderr}"
+        );
+        assert!(!dir.exists(), "no log may be opened after a flag error");
+    }
 }
 
 #[test]
