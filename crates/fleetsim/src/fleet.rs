@@ -167,12 +167,21 @@ impl Fleet {
     }
 }
 
+/// The type of vehicle `id` in an `n`-vehicle fleet, as
+/// [`Fleet::generate`] assigns it (ids run type by type, in the
+/// apportioned counts), without generating the roster: O(types) work at
+/// any fleet size. `None` past the end of the fleet.
+pub fn type_of(n: usize, id: VehicleId) -> Option<VehicleType> {
+    let mut end = 0;
+    apportion_types(n).into_iter().find_map(|(vtype, count)| {
+        end += count;
+        ((id.0 as usize) < end).then_some(vtype)
+    })
+}
+
 /// Largest-remainder apportionment of `n` units over the per-type fleet
-/// shares, in type-index order; the counts sum exactly to `n`. Shared by
-/// [`Fleet::generate`] and the streaming roster
-/// ([`crate::streaming::RosterStream`]) so both agree on every type's
-/// id range.
-pub(crate) fn apportion_types(n: usize) -> Vec<(VehicleType, usize)> {
+/// shares, in type-index order; the counts sum exactly to `n`.
+fn apportion_types(n: usize) -> Vec<(VehicleType, usize)> {
     let mut counts: Vec<(VehicleType, usize, f64)> = VehicleType::ALL
         .iter()
         .map(|&t| {
@@ -271,6 +280,17 @@ mod tests {
         assert!(fleet.vehicle(VehicleId(50)).is_none());
         let c = fleet.country_of(v);
         assert_eq!(c.id, v.country);
+    }
+
+    #[test]
+    fn type_of_agrees_with_the_materialized_fleet() {
+        let fleet = Fleet::generate(FleetConfig::small(500, 3));
+        for v in fleet.vehicles() {
+            assert_eq!(type_of(500, v.id), Some(v.vtype));
+        }
+        assert_eq!(type_of(500, VehicleId(500)), None);
+        // A million-vehicle fleet resolves its last vehicle unbuilt.
+        assert!(type_of(1_000_000, VehicleId(999_999)).is_some());
     }
 
     #[test]

@@ -172,11 +172,6 @@ pub fn generate_history(fleet: &Fleet, id: VehicleId) -> VehicleHistory {
     VehicleHistory { vehicle, records }
 }
 
-/// Generates daily histories for a slice of the fleet (by id order).
-pub fn generate_histories(fleet: &Fleet, ids: &[VehicleId]) -> Vec<VehicleHistory> {
-    ids.iter().map(|&id| generate_history(fleet, id)).collect()
-}
-
 /// Synthesizes the *raw 10-minute report stream* of one day of one vehicle
 /// (full-fidelity path), then passes it through the dropout model.
 ///
@@ -356,14 +351,5 @@ mod tests {
             Date::new(2014, 12, 31).unwrap(),
             &DropoutConfig::none(),
         );
-    }
-
-    #[test]
-    fn batch_generation_matches_individual() {
-        let fleet = small_fleet();
-        let ids = [VehicleId(1), VehicleId(3)];
-        let batch = generate_histories(&fleet, &ids);
-        assert_eq!(batch[0], generate_history(&fleet, VehicleId(1)));
-        assert_eq!(batch[1], generate_history(&fleet, VehicleId(3)));
     }
 }

@@ -31,7 +31,6 @@ pub mod dropout;
 pub mod fleet;
 pub mod generator;
 pub mod holidays;
-pub mod streaming;
 pub mod types;
 pub mod usage;
 pub mod vendor;
@@ -40,5 +39,4 @@ pub mod weather;
 pub use calendar::Date;
 pub use fleet::{Fleet, FleetConfig, Vehicle, VehicleId};
 pub use generator::{DailyRecord, VehicleHistory};
-pub use streaming::RosterStream;
 pub use types::VehicleType;

@@ -7,11 +7,8 @@
 //! samples and measuring the paper's Percentage Error on the newest
 //! remainder.
 
-use crate::gbm::GbmParams;
-use crate::kernel::Kernel;
 use crate::lasso::LassoParams;
 use crate::metrics;
-use crate::svr::SvrParams;
 use crate::{Dataset, MlError, RegressorSpec, Result};
 
 /// Score of one evaluated candidate.
@@ -108,39 +105,6 @@ pub fn lasso_grid(alphas: &[f64]) -> Vec<RegressorSpec> {
         .collect()
 }
 
-/// SVR candidates over the cross product of `C`, `γ`, and `ε` values.
-pub fn svr_grid(cs: &[f64], gammas: &[f64], epsilons: &[f64]) -> Vec<RegressorSpec> {
-    let mut out = Vec::with_capacity(cs.len() * gammas.len() * epsilons.len());
-    for &c in cs {
-        for &gamma in gammas {
-            for &epsilon in epsilons {
-                out.push(RegressorSpec::Svr(SvrParams {
-                    c,
-                    epsilon,
-                    kernel: Kernel::Rbf { gamma },
-                    ..SvrParams::default()
-                }));
-            }
-        }
-    }
-    out
-}
-
-/// Gradient-boosting candidates over stage counts and depths.
-pub fn gbm_grid(n_estimators: &[usize], depths: &[usize]) -> Vec<RegressorSpec> {
-    let mut out = Vec::with_capacity(n_estimators.len() * depths.len());
-    for &n in n_estimators {
-        for &depth in depths {
-            out.push(RegressorSpec::Gbm(GbmParams {
-                n_estimators: n,
-                max_depth: depth,
-                ..GbmParams::default()
-            }));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +120,6 @@ mod tests {
     #[test]
     fn grid_builders_enumerate_cross_products() {
         assert_eq!(lasso_grid(&[0.01, 0.1, 1.0]).len(), 3);
-        assert_eq!(svr_grid(&[1.0, 10.0], &[0.1, 1.0], &[0.1]).len(), 4);
-        assert_eq!(gbm_grid(&[50, 100], &[1, 2, 3]).len(), 6);
     }
 
     #[test]

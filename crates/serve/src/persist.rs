@@ -448,9 +448,13 @@ impl StorageBackend for FaultyBackend {
 /// when the plan has an active `disk` section. Every call builds a
 /// fresh backend, so each store (each shard's, too) keeps its own fault
 /// state and full-disk budget.
-pub fn storage_backend(plan: Option<&FaultPlan>) -> Box<dyn StorageBackend> {
-    match plan.and_then(|plan| Some((plan.seed, plan.disk_faults()?.clone()))) {
-        Some((seed, disk)) => Box::new(FaultyBackend::new(Box::new(DiskBackend), seed, disk)),
+pub fn storage_backend(plan: &FaultPlan) -> Box<dyn StorageBackend> {
+    match plan.disk_faults() {
+        Some(disk) => Box::new(FaultyBackend::new(
+            Box::new(DiskBackend),
+            plan.seed,
+            disk.clone(),
+        )),
         None => Box::new(DiskBackend),
     }
 }

@@ -18,7 +18,6 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
 use vup_ml::baseline::BaselineSpec;
 
 /// Splits the bits of `x` through the splitmix64 finalizer — the same
@@ -41,7 +40,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// seeds give identical sequences — and is monotonically non-decreasing
 /// and capped at `cap_nanos` (jitter for attempt `n` stays below half of
 /// attempt `n`'s exponential step, which doubles next attempt).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total fit attempts per vehicle per batch (≥ 1; 1 = no retries).
     pub max_attempts: u32,
@@ -105,7 +104,7 @@ impl RetryPolicy {
 }
 
 /// Thresholds of the per-vehicle [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failed *episodes* (batches where every attempt for a
     /// vehicle failed) before the breaker opens. `0` disables the
@@ -327,7 +326,7 @@ impl CircuitBreaker {
 /// attempt, no deadline, breaker disabled, no fallback (a failed fit is a
 /// [`crate::ServeOutcome::Failed`]). [`ResilienceConfig::resilient`] is
 /// the hardened profile the CLI switches on.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResilienceConfig {
     /// Retry policy for the per-vehicle fit episode.
     pub retry: RetryPolicy,
@@ -365,16 +364,6 @@ impl ResilienceConfig {
             },
             fallback: Some(BaselineSpec::LastValue),
         }
-    }
-
-    /// Serializes the config to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("resilience config serializes")
-    }
-
-    /// Parses a config back from [`ResilienceConfig::to_json`] output.
-    pub fn from_json(text: &str) -> Result<ResilienceConfig, serde_json::Error> {
-        serde_json::from_str(text)
     }
 }
 
@@ -481,33 +470,16 @@ mod tests {
 
     #[test]
     fn disabled_breaker_always_allows() {
-        let breaker = CircuitBreaker::new(BreakerConfig::default());
+        // The default profile: one attempt, no fallback, breaker off.
+        let legacy = ResilienceConfig::default();
+        assert_eq!(legacy.fallback, None);
+        assert_eq!(legacy.retry.max_attempts, 1);
+        let breaker = CircuitBreaker::new(legacy.breaker);
         assert!(!breaker.config().enabled());
         for batch in 0..10 {
             assert_eq!(breaker.record(1, batch, false), None);
             assert_eq!(breaker.admit(1, batch).0, BreakerDecision::Allow);
         }
         assert_eq!(breaker.open_count(), 0);
-    }
-
-    #[test]
-    fn resilience_config_round_trips_through_json() {
-        let config = ResilienceConfig {
-            deadline_nanos: Some(5_000_000),
-            ..ResilienceConfig::resilient()
-        };
-        let text = config.to_json();
-        assert!(text.contains("\"fallback\""), "{text}");
-        assert!(text.contains("\"LastValue\""), "{text}");
-        let parsed = ResilienceConfig::from_json(&text).unwrap();
-        assert_eq!(parsed, config);
-        // The default (legacy) profile round-trips too.
-        let legacy = ResilienceConfig::default();
-        assert_eq!(
-            ResilienceConfig::from_json(&legacy.to_json()).unwrap(),
-            legacy
-        );
-        assert_eq!(legacy.fallback, None);
-        assert_eq!(legacy.retry.max_attempts, 1);
     }
 }

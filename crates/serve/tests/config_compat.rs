@@ -1,21 +1,11 @@
-//! Compatibility contract for the operator-facing JSON configs
-//! ([`ResilienceConfig`] and [`FaultPlan`], including its nested disk
-//! section): every config round-trips through its own JSON losslessly,
-//! and a stray key — a typo in a chaos plan silently neutering the
-//! fault it meant to enable — is rejected with an error that names it.
+//! Compatibility contract for the operator-facing JSON config, the
+//! [`FaultPlan`] chaos plan (including its nested disk section): a plan
+//! round-trips through its own JSON losslessly, and a stray key — a typo
+//! in a chaos plan silently neutering the fault it meant to enable — is
+//! rejected with an error that names it. (The resilience profile has no
+//! JSON form: it comes from the serving flags alone.)
 
-use vup_serve::{DiskFaultPlan, FaultPlan, ResilienceConfig, RetryPolicy};
-
-#[test]
-fn resilience_config_round_trips_through_json() {
-    let config = ResilienceConfig {
-        retry: RetryPolicy::with_attempts(4),
-        deadline_nanos: Some(9_000_000),
-        ..ResilienceConfig::resilient()
-    };
-    let parsed = ResilienceConfig::from_json(&config.to_json()).unwrap();
-    assert_eq!(parsed, config);
-}
+use vup_serve::{DiskFaultPlan, FaultPlan};
 
 #[test]
 fn fault_plan_with_disk_section_round_trips_through_json() {
@@ -70,18 +60,6 @@ fn unknown_disk_section_keys_are_rejected_by_name() {
     assert!(message.contains("unknown field"), "{message}");
     assert!(message.contains("torn_rate"), "{message}");
     assert!(message.contains("DiskFaultPlan"), "{message}");
-}
-
-#[test]
-fn unknown_resilience_keys_are_rejected_by_name() {
-    let mut text = ResilienceConfig::resilient().to_json();
-    let closing = text.rfind('}').unwrap();
-    text.truncate(closing);
-    text.push_str(",\n  \"dead_line_nanos\": 5\n}");
-    let err = ResilienceConfig::from_json(&text).expect_err("a typoed key must not parse");
-    let message = err.to_string();
-    assert!(message.contains("unknown field"), "{message}");
-    assert!(message.contains("dead_line_nanos"), "{message}");
 }
 
 #[test]

@@ -1,16 +1,19 @@
 //! The shard coordinator: fan-out, merge, and supervision.
 //!
 //! A [`ShardedService`] owns one [`PredictionService`] per shard, each
-//! with its own [`ModelStore`], snapshot directory (`shard-{i:03}`
-//! under the store root) and [`FleetMonitor`]. A batch is partitioned
-//! by the rendezvous hash ([`Partitioner`]), fanned out shard by shard
-//! **in index order on the coordinating thread** (each shard is
-//! internally parallel on the lock-free executor), and merged back
-//! into one fleet view: outcomes in request order, a [`ServeJournal`]
-//! whose records are sorted by `(vehicle, horizon)`, and recovery
-//! stats absorbed across every shard's store. Because the only
-//! cross-shard ordering is this fixed sequential fan-out, a sharded
-//! batch is bit-identical at any executor thread count.
+//! built by [`build_service`] (the same assembly the unsharded CLI
+//! serves from) with its own [`ModelStore`], snapshot directory
+//! (`shard-{i:03}` under the store root) and [`FleetMonitor`]. A batch
+//! is partitioned by the rendezvous hash ([`Partitioner`]), fanned out
+//! shard by shard **in index order on the coordinating thread** (each
+//! shard is internally parallel on the lock-free executor), and merged
+//! back into one fleet view: outcomes and [`ServeJournal`] records in
+//! request order, and recovery stats absorbed across every shard's
+//! store. Each vehicle's model is fitted on its own history only, so
+//! while no shard fault fires the merged batch equals what one service
+//! serves; and because the only cross-shard ordering is this fixed
+//! sequential fan-out, a sharded batch is bit-identical at any executor
+//! thread count.
 //!
 //! **Supervision.** Shard fates come from the same seeded fault plan
 //! as everything else ([`FaultInjector::shard_fate`]):
@@ -35,7 +38,7 @@
 //! raises CUSUM drift flags under its `shard=` metric labels.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use vup_core::PipelineConfig;
 use vup_fleetsim::Fleet;
@@ -49,22 +52,26 @@ use vup_serve::{
 use crate::partition::Partitioner;
 use crate::rebalance::shard_dir;
 
-/// How to build a sharded service.
+/// How to build served services: the shard count for a
+/// [`ShardedService`], and the executor cap, resilience profile, fault
+/// plan and store root every service is built under by
+/// [`build_service`], whether it serves alone or as one of `N` shards.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
     /// Number of shards (≥ 1).
     pub shards: u32,
-    /// Executor worker cap per shard (0 = available parallelism).
+    /// Executor worker cap per service (0 = available parallelism).
     pub threads: usize,
-    /// Resilience profile installed on every shard.
+    /// Resilience profile installed on every service.
     pub resilience: ResilienceConfig,
-    /// Seeded chaos plan shared by every shard (fit faults hash per
+    /// Seeded chaos plan shared by every service (fit faults hash per
     /// vehicle, shard fates per shard — all coordinator-visible). Its
-    /// disk section runs under every shard's store, each through its
-    /// own [`vup_serve::storage_backend`].
+    /// disk section runs under every store, each through its own
+    /// [`storage_backend`].
     pub faults: FaultPlan,
-    /// Root under which each shard owns `shard-{i:03}`; `None` serves
-    /// memory-only (restarts are then cold).
+    /// Snapshot root: a lone service's store directory, or the root
+    /// under which each of `N > 1` shards owns `shard-{i:03}`; `None`
+    /// serves memory-only (restarts are then cold).
     pub store_root: Option<PathBuf>,
 }
 
@@ -79,6 +86,38 @@ impl ShardOptions {
             store_root: None,
         }
     }
+}
+
+/// Builds one serving [`PredictionService`] under `options`: its
+/// resilience profile, fault plan and tracer, plus a durable store
+/// warm-started from `store_dir` when given (through
+/// [`storage_backend`], so the plan's disk section wraps that store's
+/// I/O alone). Every service the CLI and the coordinator serve from is
+/// built here, so one shard and `N` shards serve under the same profile.
+/// `options.shards` and `options.store_root` are not read: the caller
+/// picks the directory.
+pub fn build_service<'f>(
+    fleet: &'f Fleet,
+    config: PipelineConfig,
+    options: &ShardOptions,
+    store_dir: Option<&Path>,
+    registry: &Registry,
+    tracer: &Tracer,
+) -> io::Result<PredictionService<'f>> {
+    let service = PredictionService::new_observed(fleet, config, options.threads, registry)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
+        .with_resilience(options.resilience.clone())
+        .with_faults(options.faults.clone())
+        .with_tracer(tracer.clone());
+    let Some(dir) = store_dir else {
+        return Ok(service);
+    };
+    let store = ModelStore::open_with(storage_backend(&options.faults), dir, registry, tracer)
+        .map_err(|e| {
+            let context = format!("cannot open snapshot store '{}': {e}", dir.display());
+            io::Error::new(e.kind(), context)
+        })?;
+    Ok(service.with_store(store))
 }
 
 /// Per-shard counters under a `shard=` label. No-ops when the registry
@@ -155,8 +194,8 @@ pub struct ShardReport {
 pub struct ShardedBatch {
     /// One outcome per request, in request order.
     pub outcomes: Vec<ServeOutcome>,
-    /// Merged journal: records sorted by `(vehicle, horizon)`, recovery
-    /// stats absorbed across every shard's store.
+    /// Merged journal: records in request order, recovery stats
+    /// absorbed across every shard's store.
     pub journal: ServeJournal,
     /// Per-shard fate reports, in shard-index order.
     pub reports: Vec<ShardReport>,
@@ -217,25 +256,19 @@ impl<'f> ShardedService<'f> {
     /// Builds (or rebuilds, for the supervisor) one shard's slot,
     /// warm-starting from its snapshot directory when durable.
     fn build_slot(&self, shard: u32) -> io::Result<ShardSlot<'f>> {
-        let mut inner = PredictionService::new_observed(
+        let dir = self
+            .options
+            .store_root
+            .as_ref()
+            .map(|root| shard_dir(root, shard));
+        let service = build_service(
             self.fleet,
             self.config.clone(),
-            self.options.threads,
+            &self.options,
+            dir.as_deref(),
             &self.registry,
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
-        .with_resilience(self.options.resilience.clone())
-        .with_faults(self.options.faults.clone())
-        .with_tracer(self.tracer.clone());
-        if let Some(root) = &self.options.store_root {
-            let store = ModelStore::open_with(
-                storage_backend(Some(&self.options.faults)),
-                &shard_dir(root, shard),
-                &self.registry,
-                &self.tracer,
-            )?;
-            inner = inner.with_store(store);
-        }
+            &self.tracer,
+        )?;
         let label = shard.to_string();
         let monitor = FleetMonitor::observed_scoped(
             &self.registry,
@@ -243,7 +276,7 @@ impl<'f> ShardedService<'f> {
             &[("shard", label.as_str())],
         );
         Ok(ShardSlot {
-            service: inner,
+            service,
             monitor,
             metrics: ShardMetrics::register(&self.registry, shard),
             deaths: 0,
@@ -300,10 +333,8 @@ impl<'f> ShardedService<'f> {
     }
 
     /// Serves one coordinated batch: partition, fan out shard by shard
-    /// in index order, supervise fates, merge. Outcomes come back in
-    /// request order; the journal's records are sorted by
-    /// `(vehicle, horizon)` so the merged view is identical no matter
-    /// how requests interleave across shards.
+    /// in index order, supervise fates, merge. Outcomes and journal
+    /// records come back in request order, as one service returns them.
     pub fn serve_batch(&mut self, requests: &[BatchRequest], as_of: Option<usize>) -> ShardedBatch {
         let batch = self.batch;
         self.batch += 1;
@@ -396,11 +427,7 @@ impl<'f> ShardedService<'f> {
             .into_iter()
             .map(|o| o.expect("every request routed to exactly one shard"))
             .collect();
-        let mut journal =
-            ServeJournal::from_outcomes(&outcomes).with_recovery(self.merged_recovery());
-        journal
-            .records
-            .sort_by_key(|record| (record.vehicle_id, record.horizon));
+        let journal = ServeJournal::from_outcomes(&outcomes).with_recovery(self.merged_recovery());
         ShardedBatch {
             outcomes,
             journal,
@@ -435,8 +462,11 @@ mod tests {
     fn sharded_serving_matches_a_single_service_fleet_wide() {
         let fleet = Fleet::generate(FleetConfig::small(30, 7));
         let config = baseline_config();
+        // Descending ids: a merge that reorders records would show.
+        let mut reqs = requests(30, 3);
+        reqs.reverse();
         let single = PredictionService::new(&fleet, config.clone(), 1).unwrap();
-        let plain = single.serve_batch(&requests(30, 3), Some(400));
+        let plain = single.serve_batch(&reqs, Some(400));
 
         let mut sharded = ShardedService::build(
             &fleet,
@@ -446,7 +476,7 @@ mod tests {
             &Tracer::disabled(),
         )
         .unwrap();
-        let merged = sharded.serve_batch(&requests(30, 3), Some(400));
+        let merged = sharded.serve_batch(&reqs, Some(400));
         assert_eq!(merged.outcomes.len(), 30);
         for (a, b) in plain.iter().zip(&merged.outcomes) {
             assert_eq!(
@@ -455,16 +485,9 @@ mod tests {
                 "sharding must not change any forecast"
             );
         }
-        // Journal records are vehicle-sorted regardless of routing.
-        let vehicles: Vec<u32> = merged
-            .journal
-            .records
-            .iter()
-            .map(|r| r.vehicle_id)
-            .collect();
-        let mut sorted = vehicles.clone();
-        sorted.sort_unstable();
-        assert_eq!(vehicles, sorted);
+        // The merged journal is the one service's journal: same
+        // records, in request order.
+        assert_eq!(merged.journal, ServeJournal::from_outcomes(&plain));
     }
 
     #[test]

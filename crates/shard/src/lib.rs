@@ -8,8 +8,9 @@
 //! remaps only the ~`K/N` vehicles whose argmax moves to the new shard
 //! — and puts a [`coordinator`] in front: fan a batch out shard by
 //! shard, merge journals, metrics and monitor health back into a
-//! single fleet view with a deterministic (vehicle-sorted) merge order
-//! at any thread count.
+//! single fleet view, in request order and identical at any thread
+//! count. Every shard's service is built by [`build_service`], the
+//! same assembly a lone service is built by.
 //!
 //! Shards fail like processes do, so the fault plan grows a `shards`
 //! section (death mid-batch, stall past deadline, refuse-then-recover)
@@ -28,6 +29,6 @@ pub mod coordinator;
 pub mod partition;
 pub mod rebalance;
 
-pub use coordinator::{ShardOptions, ShardReport, ShardedBatch, ShardedService};
+pub use coordinator::{build_service, ShardOptions, ShardReport, ShardedBatch, ShardedService};
 pub use partition::{remapped, shard_of, Partitioner};
 pub use rebalance::{rebalance, shard_dir, MovedSnapshot, RebalanceReport};

@@ -14,10 +14,11 @@
 //!   decomposition used to explain per-unit series;
 //! - [`pacf`]: partial autocorrelation (Durbin–Levinson), the sharper
 //!   companion diagnostic to the ACF;
-//! - [`stationarity`]: rolling-statistics drift diagnostics backing the
+//! - [`stationarity`]: the split-half drift diagnostic backing the
 //!   paper's claim that per-unit usage is non-stationary;
-//! - [`series`]: a day-indexed utilization series with gap handling and
-//!   weekly aggregation (Fig. 1d).
+//! - [`series`]: a day-indexed utilization series with its utilization
+//!   rate and weekly aggregation (Fig. 1d). The working-day filter is the
+//!   scenarios' own (`vup_core::scenario::WORKING_DAY_THRESHOLD`).
 //!
 //! All estimators are deterministic and operate on plain `f64` slices or on
 //! [`series::DailySeries`].

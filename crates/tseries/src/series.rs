@@ -3,17 +3,9 @@
 //! The paper's unit of analysis is "daily utilization hours of vehicle x on
 //! day t". [`DailySeries`] stores a contiguous run of days starting at an
 //! absolute day index (days since the simulation epoch; see
-//! `vup_fleetsim::calendar`), with explicit support for the two
-//! day-filtering operations the paper performs:
-//!
-//! - dropping inactive days for the data characterization (Fig. 1a: "we
-//!   remove the days where we did not record any usage");
-//! - restricting to *working days* (≥ 1 h of usage) for the
-//!   next-working-day scenario.
-
-/// Threshold above which a day counts as a working day (paper: "the next
-/// day on which the vehicle will be used at least 1 hour").
-pub const WORKING_DAY_THRESHOLD_HOURS: f64 = 1.0;
+//! `vup_fleetsim::calendar`). The working-day filter of the
+//! next-working-day scenario (≥ 1 h of usage) is not here: it lives with
+//! the scenarios, as `vup_core::scenario::WORKING_DAY_THRESHOLD`.
 
 /// A contiguous daily series of utilization hours.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,21 +74,6 @@ impl DailySeries {
         }
     }
 
-    /// The values of active days only (hours > 0) — the filter applied
-    /// before the Fig. 1 characterization plots.
-    pub fn active_values(&self) -> Vec<f64> {
-        self.values.iter().copied().filter(|&v| v > 0.0).collect()
-    }
-
-    /// `(absolute_day, hours)` pairs of working days only
-    /// (hours ≥ [`WORKING_DAY_THRESHOLD_HOURS`]) — the series the
-    /// next-working-day scenario trains and evaluates on.
-    pub fn working_days(&self) -> Vec<(i64, f64)> {
-        self.iter_days()
-            .filter(|&(_, v)| v >= WORKING_DAY_THRESHOLD_HOURS)
-            .collect()
-    }
-
     /// Fraction of days with any recorded usage; `None` for an empty series.
     pub fn utilization_rate(&self) -> Option<f64> {
         if self.values.is_empty() {
@@ -163,16 +140,6 @@ mod tests {
     #[should_panic(expected = "window out of range")]
     fn window_bounds_checked() {
         sample().window(10, 10);
-    }
-
-    #[test]
-    fn active_and_working_filters_differ() {
-        let s = sample();
-        // active: > 0 hours -> includes the 0.5h day (10 of 14 days).
-        assert_eq!(s.active_values().len(), 10);
-        // working: >= 1 hour -> excludes it.
-        assert_eq!(s.working_days().len(), 9);
-        assert!(s.working_days().iter().all(|&(_, v)| v >= 1.0));
     }
 
     #[test]

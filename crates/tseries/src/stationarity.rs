@@ -2,17 +2,10 @@
 //!
 //! The paper motivates per-vehicle models by observing that "the analyzed
 //! time series shows non-stationary and rather heterogeneous usage trends".
-//! This module provides the rolling-statistics diagnostics used by the
+//! This module provides the split-half drift diagnostic used by the
 //! characterization binaries to quantify that claim on the synthetic fleet.
 
 use crate::stats;
-
-/// Rolling mean over non-overlapping blocks of `block` days.
-/// The trailing partial block is included when it has at least one value.
-pub fn block_means(xs: &[f64], block: usize) -> Vec<f64> {
-    assert!(block > 0, "block size must be positive");
-    xs.chunks(block).filter_map(stats::mean).collect()
-}
 
 /// Result of the split-half stationarity diagnostic.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,33 +50,9 @@ pub fn drift_diagnostic(xs: &[f64]) -> Option<DriftDiagnostic> {
     })
 }
 
-/// Coefficient of variation of block means: the dispersion of local levels
-/// relative to the global level. Near zero for a stationary series; grows
-/// with regime switching. Returns `None` when fewer than two blocks exist
-/// or the global mean is zero.
-pub fn level_instability(xs: &[f64], block: usize) -> Option<f64> {
-    let means = block_means(xs, block);
-    if means.len() < 2 {
-        return None;
-    }
-    let global = stats::mean(&means)?;
-    if global == 0.0 {
-        return None;
-    }
-    let sd = stats::std_sample(&means)?;
-    Some(sd / global.abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_means_partition() {
-        let xs = [1.0, 3.0, 5.0, 7.0, 9.0];
-        assert_eq!(block_means(&xs, 2), vec![2.0, 6.0, 9.0]);
-        assert_eq!(block_means(&[], 3), Vec::<f64>::new());
-    }
 
     #[test]
     fn stationary_series_has_low_drift() {
@@ -115,18 +84,5 @@ mod tests {
     fn degenerate_inputs_give_none() {
         assert!(drift_diagnostic(&[1.0, 2.0, 3.0]).is_none());
         assert!(drift_diagnostic(&[5.0; 40]).is_none()); // zero variance
-    }
-
-    #[test]
-    fn level_instability_orders_series() {
-        let flat = vec![4.0; 60];
-        let mut shifting = vec![2.0; 30];
-        shifting.extend(vec![9.0; 30]);
-        // Flat series: zero dispersion of block means -> 0 after Some.
-        // Constant blocks give sd = 0 -> Some(0.0).
-        assert_eq!(level_instability(&flat, 10), Some(0.0));
-        let unstable = level_instability(&shifting, 10).unwrap();
-        assert!(unstable > 0.3);
-        assert!(level_instability(&[1.0, 2.0], 5).is_none());
     }
 }

@@ -22,13 +22,13 @@ use vehicle_usage_prediction::core::evaluate::evaluate_vehicle;
 use vehicle_usage_prediction::core::fleet_eval::{evaluate_fleet, monitor_fleet_evaluation};
 use vehicle_usage_prediction::core::levels::{compare_level_predictors, UsageLevel};
 use vehicle_usage_prediction::dataprep::{describe, pipeline};
-use vehicle_usage_prediction::fleetsim::RosterStream;
+use vehicle_usage_prediction::fleetsim::fleet::type_of;
 use vehicle_usage_prediction::obs::{
     FleetMonitor, MonitorConfig, Profile, ProfileWeight, Tracer, VehicleHealth,
 };
 use vehicle_usage_prediction::prelude::*;
 use vehicle_usage_prediction::serve::{storage_backend, ShardFate};
-use vehicle_usage_prediction::shard::{rebalance, remapped, shard_dir};
+use vehicle_usage_prediction::shard::{build_service, rebalance, remapped, shard_dir};
 
 const USAGE: &str = "\
 vup — per-vehicle utilization-hour forecasting (EDBT/ICDT-WS 2019 reproduction)
@@ -80,7 +80,8 @@ SUBCOMMANDS:
                       episode (injected delays + backoffs)
                       --fallback lv|ma:K|none : baseline served when the
                       primary fit fails or the breaker is open (default
-                      lv once any resilience/fault flag is set)
+                      lv once any resilience/fault flag is set, none
+                      otherwise; the same at every --shards)
                       --faults PATH : JSON chaos plan (seeded, injects
                       fit errors/panics, slow stages, stale poisoning,
                       and — through its \"disk\" section — torn writes,
@@ -91,10 +92,14 @@ SUBCOMMANDS:
                       --shards N : fan each batch out over N rendezvous-
                       hashed shards, each with its own service, monitor
                       set, and snapshot subdir shard-NNN under
-                      --store-dir. The merged journal is vehicle-sorted
-                      and bit-identical at any --threads. A \"shards\"
+                      --store-dir. Every shard serves under the same
+                      resilience profile as one service would, and the
+                      merged journal is in request order: identical at
+                      any --shards while no shard fault fires, and at
+                      any --threads. A \"shards\"
                       section in --faults can kill/stall/refuse shards;
                       dead shards degrade their vehicles for the batch
+                      (through the fallback, lv when there is none)
                       and are warm-restarted from their snapshot dir.
                       A \"disk\" section applies to every shard's store,
                       each with its own fault state and full-disk budget
@@ -140,7 +145,7 @@ SUBCOMMANDS:
                Classifies every snapshot read-only (ok / truncated /
                checksum / version / decode / io / tmp) with a per-dir
                summary; exits nonzero if any file in any dir is corrupt
-    shard-eval Partition a (streamed, never materialized) fleet roster
+    shard-eval Partition a (never materialized) fleet roster
                over N rendezvous-hashed shards and report the balance:
                per-shard counts, imbalance vs the ideal, and how many
                vehicles would remap when growing to N+1 shards
@@ -310,42 +315,78 @@ fn write_artifact(rendered: &str, dest: &str, what: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// Renders and writes a registry snapshot: a `.json` suffix selects the
-/// JSON exporter, anything else Prometheus text.
-fn write_metrics(registry: &Registry, dest: &str) -> Result<(), String> {
-    let snapshot = registry.snapshot();
-    let rendered = if dest.ends_with(".json") {
-        snapshot.to_json()
-    } else {
-        snapshot.to_prometheus_text()
-    };
-    write_artifact(&rendered, dest, "metrics snapshot")
+/// The observability artifacts a run was asked for: `--metrics`,
+/// `--trace` and `--profile`, each a path or '-' (stdout).
+struct Artifacts {
+    metrics: Option<String>,
+    trace: Option<String>,
+    profile: Option<String>,
 }
 
-/// Renders and writes a trace snapshot: a `.txt` suffix renders the
-/// compact text tree, anything else Chrome trace-event JSON.
-fn write_trace(tracer: &Tracer, dest: &str) -> Result<(), String> {
-    let snapshot = tracer.snapshot();
-    let rendered = if dest.ends_with(".txt") {
-        snapshot.to_text_tree()
-    } else {
-        snapshot.to_chrome_json()
-    };
-    write_artifact(&rendered, dest, "trace")
-}
+impl Artifacts {
+    fn from_flags(flags: &HashMap<String, String>) -> Artifacts {
+        Artifacts {
+            metrics: flags.get("metrics").cloned(),
+            trace: flags.get("trace").cloned(),
+            profile: flags.get("profile").cloned(),
+        }
+    }
 
-/// Renders and writes a flame profile aggregated from the tracer's span
-/// tree: a `.collapsed` suffix emits the collapsed-stack format
-/// (self-time weighted, flamegraph-compatible), anything else the full
-/// JSON profile (counts + bytes + timings).
-fn write_profile(tracer: &Tracer, dest: &str) -> Result<(), String> {
-    let profile = Profile::from_snapshot(&tracer.snapshot());
-    let rendered = if dest.ends_with(".collapsed") {
-        profile.to_collapsed(ProfileWeight::SelfNanos)
-    } else {
-        profile.to_json()
-    };
-    write_artifact(&rendered, dest, "profile")
+    /// The registry and tracer to run under. Observability is free when
+    /// off: an artifact nobody asked for leaves its sink disabled, and
+    /// every instrumented path then reads no clock.
+    fn sinks(&self) -> (Registry, Tracer) {
+        let registry = if self.metrics.is_some() {
+            Registry::new()
+        } else {
+            Registry::disabled()
+        };
+        let tracer = if self.trace.is_some() || self.profile.is_some() {
+            Tracer::new()
+        } else {
+            Tracer::disabled()
+        };
+        (registry, tracer)
+    }
+
+    /// Writes the requested artifacts in a fixed order: the metrics
+    /// snapshot (a `.json` suffix selects the JSON exporter, anything
+    /// else Prometheus text), the span tree (a `.txt` suffix renders the
+    /// compact text tree, anything else Chrome trace-event JSON), and
+    /// the flame profile aggregated from it (a `.collapsed` suffix emits
+    /// self-time weighted, flamegraph-compatible collapsed stacks,
+    /// anything else the full JSON profile with counts, bytes and
+    /// timings).
+    fn write(&self, registry: &Registry, tracer: &Tracer) -> Result<(), String> {
+        if let Some(dest) = &self.metrics {
+            let snapshot = registry.snapshot();
+            let rendered = if dest.ends_with(".json") {
+                snapshot.to_json()
+            } else {
+                snapshot.to_prometheus_text()
+            };
+            write_artifact(&rendered, dest, "metrics snapshot")?;
+        }
+        if let Some(dest) = &self.trace {
+            let snapshot = tracer.snapshot();
+            let rendered = if dest.ends_with(".txt") {
+                snapshot.to_text_tree()
+            } else {
+                snapshot.to_chrome_json()
+            };
+            write_artifact(&rendered, dest, "trace")?;
+        }
+        if let Some(dest) = &self.profile {
+            let profile = Profile::from_snapshot(&tracer.snapshot());
+            let rendered = if dest.ends_with(".collapsed") {
+                profile.to_collapsed(ProfileWeight::SelfNanos)
+            } else {
+                profile.to_json()
+            };
+            write_artifact(&rendered, dest, "profile")?;
+        }
+        Ok(())
+    }
 }
 
 fn parse_scenario(flags: &HashMap<String, String>) -> Result<Scenario, String> {
@@ -485,22 +526,8 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
         config.k,
         config.train_window
     );
-    // Observability is free when off: without --metrics / --trace the
-    // registry and tracer are disabled and every instrumented path is a
-    // clock-free no-op.
-    let metrics_dest = flags.get("metrics").cloned();
-    let trace_dest = flags.get("trace").cloned();
-    let profile_dest = flags.get("profile").cloned();
-    let registry = if metrics_dest.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
-    let tracer = if trace_dest.is_some() || profile_dest.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
+    let artifacts = Artifacts::from_flags(flags);
+    let (registry, tracer) = artifacts.sinks();
     let (eval, _) = evaluate_fleet(&fleet, &ids, &config, 0, &registry, &tracer);
     for m in &eval.members {
         match &m.outcome {
@@ -532,16 +559,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
             );
         }
     }
-    if let Some(dest) = metrics_dest {
-        write_metrics(&registry, &dest)?;
-    }
-    if let Some(dest) = trace_dest {
-        write_trace(&tracer, &dest)?;
-    }
-    if let Some(dest) = profile_dest {
-        write_profile(&tracer, &dest)?;
-    }
-    Ok(())
+    artifacts.write(&registry, &tracer)
 }
 
 /// JSON document printed by `vup monitor --json`: the same rows and
@@ -648,12 +666,8 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
     if monitor_config.window == 0 || monitor_config.baseline_window == 0 {
         return Err("--window and --baseline-window must be positive".into());
     }
-    let metrics_dest = flags.get("metrics").cloned();
-    let registry = if metrics_dest.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
+    let artifacts = Artifacts::from_flags(flags);
+    let (registry, tracer) = artifacts.sinks();
     let ids: Vec<VehicleId> = (0..fleet.vehicles().len().min(n) as u32)
         .map(VehicleId)
         .collect();
@@ -666,7 +680,7 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
         monitor_config.baseline_window
     );
 
-    let (eval, _) = evaluate_fleet(&fleet, &ids, &config, 0, &registry, &Tracer::disabled());
+    let (eval, _) = evaluate_fleet(&fleet, &ids, &config, 0, &registry, &tracer);
     let monitor = FleetMonitor::observed(&registry, monitor_config);
     monitor_fleet_evaluation(&eval, &fleet, &config, &monitor);
     let reports = monitor.health();
@@ -678,10 +692,7 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
             serde_json::to_string_pretty(&doc)
                 .map_err(|e| format!("cannot render monitor JSON: {e}"))?
         );
-        if let Some(dest) = metrics_dest {
-            write_metrics(&registry, &dest)?;
-        }
-        return Ok(());
+        return artifacts.write(&registry, &tracer);
     }
 
     let opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.3}"));
@@ -724,10 +735,7 @@ fn cmd_monitor(flags: &HashMap<String, String>) -> Result<(), String> {
         count(|h| h.data_gaps > 0),
         count(|h| h.stale)
     );
-    if let Some(dest) = metrics_dest {
-        write_metrics(&registry, &dest)?;
-    }
-    Ok(())
+    artifacts.write(&registry, &tracer)
 }
 
 fn cmd_levels(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -789,37 +797,30 @@ fn cmd_levels(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--faults PATH` chaos plan, if given.
-fn fault_plan_flag(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
+/// The `--faults PATH` chaos plan; without the flag, the empty plan,
+/// which injects nothing.
+fn fault_plan_flag(flags: &HashMap<String, String>) -> Result<FaultPlan, String> {
     let Some(path) = flags.get("faults") else {
-        return Ok(None);
+        return Ok(FaultPlan::default());
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read fault plan '{path}': {e}"))?;
-    FaultPlan::from_json(&text)
-        .map(Some)
-        .map_err(|e| format!("invalid fault plan '{path}': {e}"))
+    FaultPlan::from_json(&text).map_err(|e| format!("invalid fault plan '{path}': {e}"))
 }
 
-/// The shared serve-side flag set, parsed once so the single-service
-/// path (`configure_service`) and the sharded coordinator path
-/// (`--shards N`) agree on every knob.
-struct ServiceFlags {
-    threads: usize,
-    config: PipelineConfig,
-    resilient_mode: bool,
-    resilience: ResilienceConfig,
-    fault_plan: Option<FaultPlan>,
-    store_dir: Option<String>,
-}
-
-fn parse_service_flags(flags: &HashMap<String, String>) -> Result<ServiceFlags, String> {
+/// Resolves the serving flags `serve-batch` and `serve` share into the
+/// pipeline and the options every service is built under
+/// ([`build_service`]): --threads/--model pick the executor and
+/// pipeline, --store-dir the snapshot root, and --retry-max above 1,
+/// --deadline-ms, --fallback or --faults switch on the hardened
+/// resilience profile; without them the profile is the default one.
+fn parse_service_flags(
+    flags: &HashMap<String, String>,
+) -> Result<(PipelineConfig, ShardOptions), String> {
     let threads: usize = flag(flags, "threads", 0)?;
     let mut config = PipelineConfig::default();
     apply_model_flag(flags, &mut config)?;
 
-    // Resilience flags: any of --retry-max/--deadline-ms/--fallback/
-    // --faults switches the service onto the hardened profile.
     let retry_max: u32 = flag(flags, "retry-max", 1)?;
     let deadline_ms: Option<u64> = match flags.get("deadline-ms") {
         None => None,
@@ -830,12 +831,7 @@ fn parse_service_flags(flags: &HashMap<String, String>) -> Result<ServiceFlags, 
     };
     let fallback_flag = flags.get("fallback").map(String::as_str);
     let fault_plan = fault_plan_flag(flags)?;
-    let resilient_mode =
-        retry_max > 1 || deadline_ms.is_some() || fallback_flag.is_some() || fault_plan.is_some();
-    let mut resilience = ResilienceConfig::resilient();
-    resilience.retry.max_attempts = retry_max.max(1);
-    resilience.deadline_nanos = deadline_ms.map(|ms| ms.saturating_mul(1_000_000));
-    resilience.fallback = match fallback_flag {
+    let fallback = match fallback_flag {
         None | Some("lv") => Some(BaselineSpec::LastValue),
         Some("none") => None,
         Some(other) => match other.strip_prefix("ma:").map(str::parse) {
@@ -843,53 +839,45 @@ fn parse_service_flags(flags: &HashMap<String, String>) -> Result<ServiceFlags, 
             _ => return Err(format!("flag --fallback: unknown value '{other}'")),
         },
     };
-    Ok(ServiceFlags {
+    let hardened = retry_max > 1
+        || deadline_ms.is_some()
+        || fallback_flag.is_some()
+        || flags.contains_key("faults");
+    let resilience = if hardened {
+        let mut resilience = ResilienceConfig::resilient();
+        resilience.retry.max_attempts = retry_max.max(1);
+        resilience.deadline_nanos = deadline_ms.map(|ms| ms.saturating_mul(1_000_000));
+        resilience.fallback = fallback;
+        resilience
+    } else {
+        ResilienceConfig::default()
+    };
+    let options = ShardOptions {
         threads,
-        config,
-        resilient_mode,
         resilience,
-        fault_plan,
-        store_dir: flags.get("store-dir").cloned(),
-    })
+        faults: fault_plan,
+        store_root: flags.get("store-dir").map(std::path::PathBuf::from),
+        ..ShardOptions::new(1)
+    };
+    Ok((config, options))
 }
 
-/// Builds the prediction service from the shared `serve-batch`/`serve`
-/// flag set: --threads/--model pick the executor and pipeline,
-/// --retry-max/--deadline-ms/--fallback/--faults switch on the hardened
-/// profile, and --store-dir warm-starts a durable snapshot store
-/// (routed through the seeded faulty backend when the plan has an
-/// active "disk" section). Returns the service plus whether the
-/// resilient profile is active.
-fn configure_service<'f>(
-    flags: &HashMap<String, String>,
+/// Builds the lone service `serve-batch` (one shard) and `serve` run,
+/// and reports on stderr what its durable store recovered.
+fn open_service<'f>(
     fleet: &'f Fleet,
+    config: PipelineConfig,
+    options: &ShardOptions,
     registry: &Registry,
     tracer: &Tracer,
-) -> Result<(PredictionService<'f>, bool), String> {
-    let ServiceFlags {
-        threads,
-        config,
-        resilient_mode,
-        resilience,
-        fault_plan,
-        store_dir,
-    } = parse_service_flags(flags)?;
-    let mut service = PredictionService::new_observed(fleet, config, threads, registry)
-        .map_err(|e| e.to_string())?
-        .with_tracer(tracer.clone());
-    if resilient_mode {
-        service = service.with_resilience(resilience);
-    }
-    // A durable store warm-starts from --store-dir; an active "disk"
-    // section in the fault plan routes its I/O through the seeded
-    // faulty backend.
-    if let Some(dir) = &store_dir {
-        let backend = storage_backend(fault_plan.as_ref());
-        let store = ModelStore::open_with(backend, std::path::Path::new(dir), registry, tracer)
-            .map_err(|e| format!("cannot open snapshot store '{dir}': {e}"))?;
-        let stats = store.recovery().expect("open_with always records recovery");
+) -> Result<PredictionService<'f>, String> {
+    let dir = options.store_root.as_deref();
+    let service =
+        build_service(fleet, config, options, dir, registry, tracer).map_err(|e| e.to_string())?;
+    if let (Some(dir), Some(stats)) = (dir, service.store().recovery()) {
         eprintln!(
-            "store '{dir}': generation {}, {} snapshot(s) recovered, {} quarantined{}",
+            "store '{}': generation {}, {} snapshot(s) recovered, {} quarantined{}",
+            dir.display(),
             stats.generation,
             stats.recovered,
             stats.quarantined_count(),
@@ -902,12 +890,8 @@ fn configure_service<'f>(
         for q in &stats.quarantined {
             eprintln!("  quarantined {} ({})", q.file, q.reason);
         }
-        service = service.with_store(store);
     }
-    if let Some(plan) = fault_plan {
-        service = service.with_faults(plan);
-    }
-    Ok((service, resilient_mode))
+    Ok(service)
 }
 
 /// Outcome-class counters for the serve-batch summary line, shared by
@@ -1019,23 +1003,8 @@ fn cmd_serve_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("no vehicles requested".into());
     }
 
-    // Observability is free when off: without --metrics / --trace the
-    // registry and tracer are disabled and every instrumented path in
-    // the service is a no-op.
-    let metrics_dest = flags.get("metrics").cloned();
-    let trace_dest = flags.get("trace").cloned();
-    let profile_dest = flags.get("profile").cloned();
-    let journal_dest = flags.get("journal").cloned();
-    let registry = if metrics_dest.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
-    let tracer = if trace_dest.is_some() || profile_dest.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
+    let artifacts = Artifacts::from_flags(flags);
+    let (registry, tracer) = artifacts.sinks();
     let requests: Vec<BatchRequest> = ids
         .iter()
         .map(|&vehicle_id| BatchRequest {
@@ -1047,101 +1016,94 @@ fn cmd_serve_batch(flags: &HashMap<String, String>) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let mut tally = OutcomeTally::default();
-    let journal = if shards > 1 {
-        // Sharded path: one coordinator fanning the batch over per-shard
-        // services. The merged journal already carries the summed
-        // recovery block, so the journal write below needs no store.
-        let sf = parse_service_flags(flags)?;
-        let options = ShardOptions {
-            threads: sf.threads,
-            resilience: sf.resilience,
-            faults: sf.fault_plan.unwrap_or_default(),
-            store_root: sf.store_dir.as_ref().map(std::path::PathBuf::from),
-            ..ShardOptions::new(shards)
-        };
-        let mut service = ShardedService::build(&fleet, sf.config, options, &registry, &tracer)
+    let (config, options) = parse_service_flags(flags)?;
+    let hardened = options.resilience != ResilienceConfig::default();
+    /// One shard is the bare service; `N` shards put the coordinator in
+    /// front of `N` services built the same way.
+    enum Serving<'f> {
+        One(Box<PredictionService<'f>>),
+        Sharded(Box<ShardedService<'f>>),
+    }
+    let mut serving = if shards > 1 {
+        let options = ShardOptions { shards, ..options };
+        let service = ShardedService::build(&fleet, config, options, &registry, &tracer)
             .map_err(|e| e.to_string())?;
-        let mut last_journal = None;
-        for batch in 1..=repeat {
-            println!("batch {batch}:");
-            let result = service.serve_batch(&requests, None);
-            print_outcomes(&result.outcomes, &mut tally);
-            for report in &result.reports {
-                if report.fate != ShardFate::Healthy || report.restarted {
-                    println!(
-                        "  shard {:>3}: fate={} requests={}{}",
-                        report.shard,
-                        report.fate.as_str(),
-                        report.requests,
-                        if report.restarted {
-                            ", warm-restarted from snapshots"
-                        } else {
-                            ""
-                        },
-                    );
-                }
-            }
-            last_journal = Some(result.journal);
-        }
-        println!(
-            "\noutcomes: served={} retrained={} degraded={} skipped={} failed={}",
-            tally.served, tally.retrained, tally.degraded, tally.skipped, tally.failed
-        );
-        println!(
-            "model caches hold {} fitted model(s) across {shards} shard(s) after {repeat} batch(es)",
-            service.cached_models()
-        );
-        let supervision = service.supervision();
-        let deaths: u64 = supervision.iter().map(|(d, _)| d).sum();
-        let restarts: u64 = supervision.iter().map(|(_, r)| r).sum();
-        if deaths + restarts > 0 {
-            println!("supervisor: {deaths} shard death(s), {restarts} warm restart(s)");
-        }
-        last_journal
+        Serving::Sharded(Box::new(service))
     } else {
-        let (service, resilient_mode) = configure_service(flags, &fleet, &registry, &tracer)?;
-        let mut last_outcomes = Vec::new();
-        for batch in 1..=repeat {
-            println!("batch {batch}:");
-            let outcomes = service.serve_batch(&requests, None);
-            print_outcomes(&outcomes, &mut tally);
-            last_outcomes = outcomes;
-        }
-        println!(
-            "\noutcomes: served={} retrained={} degraded={} skipped={} failed={}",
-            tally.served, tally.retrained, tally.degraded, tally.skipped, tally.failed
-        );
-        println!(
-            "model cache holds {} fitted model(s) after {repeat} batch(es)",
-            service.store().len()
-        );
-        if resilient_mode {
+        Serving::One(Box::new(open_service(
+            &fleet, config, &options, &registry, &tracer,
+        )?))
+    };
+    let mut tally = OutcomeTally::default();
+    let mut last_outcomes = Vec::new();
+    for batch in 1..=repeat {
+        println!("batch {batch}:");
+        let reports = match &mut serving {
+            Serving::One(service) => {
+                last_outcomes = service.serve_batch(&requests, None);
+                Vec::new()
+            }
+            Serving::Sharded(service) => {
+                let result = service.serve_batch(&requests, None);
+                last_outcomes = result.outcomes;
+                result.reports
+            }
+        };
+        print_outcomes(&last_outcomes, &mut tally);
+        for report in reports
+            .iter()
+            .filter(|report| report.fate != ShardFate::Healthy || report.restarted)
+        {
             println!(
-                "circuit breakers open for {} vehicle(s)",
-                service.breaker().open_count()
+                "  shard {:>3}: fate={} requests={}{}",
+                report.shard,
+                report.fate.as_str(),
+                report.requests,
+                if report.restarted {
+                    ", warm-restarted from snapshots"
+                } else {
+                    ""
+                },
             );
         }
-        Some(
-            ServeJournal::from_outcomes(&last_outcomes)
-                .with_recovery(service.store().recovery().cloned()),
-        )
+    }
+    println!(
+        "\noutcomes: served={} retrained={} degraded={} skipped={} failed={}",
+        tally.served, tally.retrained, tally.degraded, tally.skipped, tally.failed
+    );
+    let recovery = match &serving {
+        Serving::One(service) => {
+            println!(
+                "model cache holds {} fitted model(s) after {repeat} batch(es)",
+                service.store().len()
+            );
+            if hardened {
+                println!(
+                    "circuit breakers open for {} vehicle(s)",
+                    service.breaker().open_count()
+                );
+            }
+            service.store().recovery().cloned()
+        }
+        Serving::Sharded(service) => {
+            println!(
+                "model caches hold {} fitted model(s) across {shards} shard(s) after {repeat} batch(es)",
+                service.cached_models()
+            );
+            let supervision = service.supervision();
+            let deaths: u64 = supervision.iter().map(|(d, _)| d).sum();
+            let restarts: u64 = supervision.iter().map(|(_, r)| r).sum();
+            if deaths + restarts > 0 {
+                println!("supervisor: {deaths} shard death(s), {restarts} warm restart(s)");
+            }
+            service.merged_recovery()
+        }
     };
-    if let Some(dest) = journal_dest {
-        // --repeat 0 never serves; write an empty journal for parity.
-        let journal = journal.unwrap_or_else(|| ServeJournal::from_outcomes(&[]));
-        write_artifact(&journal.to_json(), &dest, "serve journal")?;
+    if let Some(dest) = flags.get("journal") {
+        let journal = ServeJournal::from_outcomes(&last_outcomes).with_recovery(recovery);
+        write_artifact(&journal.to_json(), dest, "serve journal")?;
     }
-    if let Some(dest) = metrics_dest {
-        write_metrics(&registry, &dest)?;
-    }
-    if let Some(dest) = trace_dest {
-        write_trace(&tracer, &dest)?;
-    }
-    if let Some(dest) = profile_dest {
-        write_profile(&tracer, &dest)?;
-    }
-    Ok(())
+    artifacts.write(&registry, &tracer)
 }
 
 /// `vup serve` — run the prediction service as an HTTP daemon until
@@ -1163,7 +1125,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // The daemon always meters: /metrics serves this registry live.
     let registry = Registry::new();
     let tracer = Tracer::disabled();
-    let (service, resilient_mode) = configure_service(flags, &fleet, &registry, &tracer)?;
+    let (config, options) = parse_service_flags(flags)?;
+    let hardened = options.resilience != ResilienceConfig::default();
+    let service = open_service(&fleet, config, &options, &registry, &tracer)?;
     let monitor = FleetMonitor::observed(&registry, MonitorConfig::default());
 
     let defaults = ServerConfig::default();
@@ -1201,11 +1165,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         "vup serve listening on {addr} ({} worker(s), queue {}, {} profile)",
         config.workers,
         config.queue_capacity,
-        if resilient_mode {
-            "resilient"
-        } else {
-            "default"
-        }
+        if hardened { "resilient" } else { "default" }
     );
     let summary = server.run(&handler, &token);
     token.cancel();
@@ -1362,9 +1322,9 @@ fn cmd_store_verify(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `vup shard-eval` — partition a streamed roster (never materialized,
-/// so a million vehicles cost O(shards) memory) and report the balance
-/// plus the N→N+1 remap volume.
+/// `vup shard-eval` — partition a roster that is never materialized (so
+/// a million vehicles cost O(shards) memory) and report the balance plus
+/// the N→N+1 remap volume.
 fn cmd_shard_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     reject_unknown_flags(flags, &[FLEET_FLAGS, &["shards", "json"]].concat())?;
     let vehicles: usize = flag(flags, "vehicles", 1_000_000)?;
@@ -1388,19 +1348,14 @@ fn cmd_shard_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let mover_pct = movers as f64 / vehicles as f64 * 100.0;
     let ideal_pct = 100.0 / f64::from(shards + 1);
 
-    // Resolve a few probe vehicles through the streamed roster: each is
-    // a pure function of (config, id), proof that routing a vehicle to
-    // its shard never requires generating the fleet.
-    let roster = RosterStream::new(FleetConfig::small(vehicles, seed));
+    // Probe a few vehicles: a type is a pure function of (fleet size,
+    // id), so routing a vehicle to its shard never generates the fleet.
     let probes: Vec<(u32, u32, &'static str)> = [0, vehicles / 2, vehicles - 1]
         .into_iter()
-        .map(|i| i as u32)
+        .map(|i| VehicleId(i as u32))
         .map(|id| {
-            let vtype = roster
-                .vehicle(VehicleId(id))
-                .expect("probe id is in range")
-                .vtype;
-            (id, partitioner.shard_of(VehicleId(id)), vtype.name())
+            let vtype = type_of(vehicles, id).expect("probe id is in range");
+            (id.0, partitioner.shard_of(id), vtype.name())
         })
         .collect();
 
@@ -1558,7 +1513,7 @@ fn open_commit_log(
     let Some(dir) = flags.get("dir").cloned() else {
         return Err("ingest/replay need --dir DIR (the commit-log directory)".into());
     };
-    let backend = storage_backend(fault_plan_flag(flags)?.as_ref());
+    let backend = storage_backend(&fault_plan_flag(flags)?);
     let (log, recovery) = CommitLog::open(
         backend,
         std::path::Path::new(&dir),
@@ -1702,20 +1657,8 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("--window and --baseline-window must be positive".into());
     }
 
-    let metrics_dest = flags.get("metrics").cloned();
-    let trace_dest = flags.get("trace").cloned();
-    let profile_dest = flags.get("profile").cloned();
-    let report_dest = flags.get("report").cloned();
-    let registry = if metrics_dest.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
-    let tracer = if trace_dest.is_some() || profile_dest.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
+    let artifacts = Artifacts::from_flags(flags);
+    let (registry, tracer) = artifacts.sinks();
 
     let (log, recovery, dir) = open_commit_log(flags, LogOptions::default(), &registry, &tracer)?;
     let mut records = log
@@ -1767,19 +1710,10 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
             );
         }
     }
-    if let Some(dest) = report_dest {
-        write_artifact(&report.to_json(), &dest, "replay report")?;
+    if let Some(dest) = flags.get("report") {
+        write_artifact(&report.to_json(), dest, "replay report")?;
     }
-    if let Some(dest) = metrics_dest {
-        write_metrics(&registry, &dest)?;
-    }
-    if let Some(dest) = trace_dest {
-        write_trace(&tracer, &dest)?;
-    }
-    if let Some(dest) = profile_dest {
-        write_profile(&tracer, &dest)?;
-    }
-    Ok(())
+    artifacts.write(&registry, &tracer)
 }
 
 /// `vup bench` — run the canonical seeded workloads and append to the

@@ -37,7 +37,7 @@
 //! - [`shard`] — fleet sharding (`vup shard-eval` / `vup shard
 //!   rebalance` / `serve-batch --shards`): rendezvous-hash vehicle
 //!   partitioning, a coordinator fanning batches over per-shard
-//!   prediction services with deterministic vehicle-sorted merges, a
+//!   prediction services with deterministic request-order merges, a
 //!   supervisor that degrades and warm-restarts dead shards under the
 //!   seeded fault plan, and atomic snapshot rebalancing when the shard
 //!   count changes;

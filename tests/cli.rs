@@ -106,6 +106,124 @@ fn simulate_output_is_pinned_byte_for_byte() {
 }
 
 #[test]
+fn shard_eval_output_is_pinned_byte_for_byte() {
+    let base = [
+        "shard-eval",
+        "--vehicles",
+        "1000",
+        "--seed",
+        "7",
+        "--shards",
+        "8",
+    ];
+    for (extra, golden) in [
+        (
+            None,
+            include_str!("golden/shard_eval_1000v_seed7_8shards.txt"),
+        ),
+        (
+            Some("--json"),
+            include_str!("golden/shard_eval_1000v_seed7_8shards.json"),
+        ),
+    ] {
+        let out = vup().args(base).args(extra).output().expect("binary runs");
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+        assert!(out.stderr.is_empty());
+    }
+}
+
+#[test]
+fn serve_batch_journals_are_identical_at_every_shard_count() {
+    use vehicle_usage_prediction::prelude::ServeJournal;
+    // One model per vehicle on its own history: which shard serves a
+    // vehicle must not change its answer, its resilience profile, or
+    // where its record sits in the journal (request order).
+    let cases: [&[&str]; 3] = [
+        &[
+            "--vehicles",
+            "60",
+            "--seed",
+            "7",
+            "--n",
+            "60",
+            "--horizon",
+            "2",
+            "--repeat",
+            "2",
+            "--model",
+            "lv",
+        ],
+        &[
+            "--vehicles",
+            "60",
+            "--seed",
+            "7",
+            "--n",
+            "60",
+            "--horizon",
+            "2",
+            "--repeat",
+            "2",
+            "--model",
+            "lv",
+            "--retry-max",
+            "2",
+        ],
+        &[
+            "--vehicles",
+            "12",
+            "--ids",
+            "5,3,1",
+            "--horizon",
+            "1",
+            "--retry-max",
+            "2",
+        ],
+    ];
+    let journal = std::env::temp_dir().join(format!("vup_shard_inv_{}.json", std::process::id()));
+    for case in cases {
+        let mut runs = Vec::new();
+        for shards in ["1", "2", "3"] {
+            let out = vup()
+                .arg("serve-batch")
+                .args(case)
+                .args(["--shards", shards, "--journal", journal.to_str().unwrap()])
+                .output()
+                .expect("binary runs");
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let text = String::from_utf8_lossy(&out.stdout).into_owned();
+            let lines: Vec<String> = text
+                .lines()
+                .filter(|l| l.starts_with("  vehicle ") || l.starts_with("outcomes:"))
+                .map(str::to_owned)
+                .collect();
+            let written = std::fs::read_to_string(&journal).expect("journal file written");
+            runs.push((shards, lines, written));
+        }
+        let (_, lines, written) = &runs[0];
+        assert!(
+            lines.iter().any(|l| l.starts_with("outcomes:")),
+            "{lines:?}"
+        );
+        for (shards, other_lines, other_written) in &runs[1..] {
+            assert_eq!(other_lines, lines, "{case:?} at --shards {shards}");
+            assert_eq!(other_written, written, "{case:?} at --shards {shards}");
+        }
+        if case.contains(&"--ids") {
+            let parsed = ServeJournal::from_json(written).expect("journal parses");
+            let order: Vec<u32> = parsed.records.iter().map(|r| r.vehicle_id).collect();
+            assert_eq!(order, [5, 3, 1], "records stay in request order");
+        }
+    }
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
 fn simulate_rejects_out_of_range_vehicle() {
     let out = vup()
         .args(["simulate", "--vehicles", "5", "--id", "99"])
