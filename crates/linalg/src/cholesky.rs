@@ -45,9 +45,9 @@ impl Cholesky {
 
     /// The blocked left-looking kernel. Both inner dot products run over
     /// contiguous row prefixes as plain slice folds with ascending `k`,
-    /// exactly the accumulation order of
-    /// [`Cholesky::decompose_reference`], so the factor is bit-identical
-    /// to the reference kernel for every `row_block`.
+    /// exactly the accumulation order of the scalar test oracle
+    /// (`decompose_reference`), so the factor is bit-identical to it for
+    /// every `row_block`.
     fn decompose_blocked(a: &Matrix, row_block: usize) -> Result<Self> {
         let (n, m) = a.shape();
         if n != m {
@@ -93,10 +93,11 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// The original scalar kernel, retained as the oracle for the blocked
-    /// path: the equivalence proptests below assert the blocked factor
-    /// matches this bit for bit.
-    pub fn decompose_reference(a: &Matrix) -> Result<Self> {
+    /// The original scalar kernel, the test oracle for the blocked path:
+    /// the equivalence proptests below assert the blocked factor matches
+    /// this bit for bit.
+    #[cfg(test)]
+    fn decompose_reference(a: &Matrix) -> Result<Self> {
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::NotSquare { shape: a.shape() });

@@ -243,27 +243,30 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Computes the Gram matrix `selfᵀ * self` (symmetric, `cols x cols`),
-    /// exploiting symmetry to halve the work.
-    // Index-based loops keep the k/i coupling between factors explicit.
-    #[allow(clippy::needless_range_loop)]
+    /// Computes the Gram matrix `selfᵀ * self` (symmetric, `cols x cols`).
+    ///
+    /// Entry `(j, k)`, `j <= k`, is `Σ_i x_ij · x_ik`: one rounded product
+    /// and one rounded add per row `i`, in ascending `i`, starting from
+    /// `+0.0`, with rows whose `x_ij` is zero left out. The upper triangle
+    /// is computed in 4×4 register tiles and mirrored into the lower one.
+    /// The tiling changes only which entries share a pass over the rows,
+    /// never an entry's own sum, so every finite entry is the same bits
+    /// on every CPU (a NaN's payload is left to the platform).
     pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut out = Matrix::zeros(n, n);
-        for row in self.iter_rows() {
-            for j in 0..n {
-                let rj = row[j];
-                if rj == 0.0 {
-                    continue;
-                }
-                for k in j..n {
-                    out.data[j * n + k] += rj * row[k];
-                }
-            }
+        let p = self.cols;
+        let mut out = Matrix::zeros(p, p);
+        gram_upper(&self.data, p, &mut out.data);
+        // Leaving out a zero `x_ij` changes the sum only when `x_ik` is
+        // infinite or NaN (`0 · inf` is NaN); with finite input it adds
+        // `±0` to a sum that starts at `+0.0`, which changes nothing. A
+        // non-finite `x_ij` makes diagonal entry `j` non-finite, so the
+        // diagonal tells whether the skip must be taken.
+        if !(0..p).all(|j| out.data[j * p + j].is_finite()) {
+            gram_tiles::<true>(&self.data, p, &mut out.data);
         }
-        for j in 0..n {
-            for k in (j + 1)..n {
-                out.data[k * n + j] = out.data[j * n + k];
+        for j in 0..p {
+            for k in (j + 1)..p {
+                out.data[k * p + j] = out.data[j * p + k];
             }
         }
         out
@@ -415,6 +418,84 @@ impl serde::Deserialize for Matrix {
     }
 }
 
+/// Writes the upper triangle of `xᵀx` for the row-major `x` with `p`
+/// columns into `out` (`p x p`), without the zero skip, on the widest
+/// vector unit the CPU offers. Both instantiations compile the same
+/// [`gram_tiles`] source, and neither enables FMA, so they agree bit
+/// for bit.
+fn gram_upper(x: &[f64], p: usize, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { gram_upper_avx2(x, p, out) };
+    }
+    gram_tiles::<false>(x, p, out);
+}
+
+/// [`gram_tiles`] compiled for AVX2: each 4-wide tile row is one `ymm`
+/// accumulator.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gram_upper_avx2(x: &[f64], p: usize, out: &mut [f64]) {
+    gram_tiles::<false>(x, p, out);
+}
+
+/// Fills the upper triangle of `out` (and the lower half of the diagonal
+/// tiles, which the caller overwrites by mirroring) tile by tile: 4×4
+/// tiles, then 3-, 2- or 1-wide tiles along the right and bottom edges
+/// when `p mod 4 ≠ 0`. With `SKIP_ZEROS`, a row whose `x_ij` is zero
+/// adds nothing to the entries of row `j`, as [`Matrix::gram`] documents.
+#[inline(always)]
+fn gram_tiles<const SKIP_ZEROS: bool>(x: &[f64], p: usize, out: &mut [f64]) {
+    let full = p - p % 4;
+    for j0 in (0..full).step_by(4) {
+        for k0 in (j0..full).step_by(4) {
+            gram_tile::<4, 4, SKIP_ZEROS>(x, p, j0, k0, out);
+        }
+        match p % 4 {
+            1 => gram_tile::<4, 1, SKIP_ZEROS>(x, p, j0, full, out),
+            2 => gram_tile::<4, 2, SKIP_ZEROS>(x, p, j0, full, out),
+            3 => gram_tile::<4, 3, SKIP_ZEROS>(x, p, j0, full, out),
+            _ => {}
+        }
+    }
+    match p % 4 {
+        1 => gram_tile::<1, 1, SKIP_ZEROS>(x, p, full, full, out),
+        2 => gram_tile::<2, 2, SKIP_ZEROS>(x, p, full, full, out),
+        3 => gram_tile::<3, 3, SKIP_ZEROS>(x, p, full, full, out),
+        _ => {}
+    }
+}
+
+/// One `R x C` tile at `(j0, k0)`: every entry keeps its own accumulator,
+/// summed over all rows in ascending order, then stored once.
+#[inline(always)]
+fn gram_tile<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
+    x: &[f64],
+    p: usize,
+    j0: usize,
+    k0: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [[0.0_f64; C]; R];
+    for row in x.chunks_exact(p) {
+        let a: &[f64; R] = row[j0..j0 + R].try_into().unwrap();
+        let b: &[f64; C] = row[k0..k0 + C].try_into().unwrap();
+        for (acc_u, &au) in acc.iter_mut().zip(a) {
+            if SKIP_ZEROS && au == 0.0 {
+                continue;
+            }
+            for (s, &bv) in acc_u.iter_mut().zip(b) {
+                *s += au * bv;
+            }
+        }
+    }
+    for (u, acc_u) in acc.iter().enumerate() {
+        let at = (j0 + u) * p + k0;
+        out[at..at + C].copy_from_slice(acc_u);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,6 +592,143 @@ mod tests {
         for i in 0..2 {
             for j in 0..2 {
                 assert!(approx(g[(i, j)], explicit[(i, j)]));
+            }
+        }
+    }
+
+    /// The row-by-row rank-1 loop `gram` replaced: the oracle it must
+    /// match bit for bit.
+    // Index-based loops keep the j/k coupling between factors explicit.
+    #[allow(clippy::needless_range_loop)]
+    fn gram_rows(m: &Matrix) -> Matrix {
+        let n = m.cols;
+        let mut out = Matrix::zeros(n, n);
+        for row in m.iter_rows() {
+            for j in 0..n {
+                let rj = row[j];
+                if rj == 0.0 {
+                    continue;
+                }
+                for k in j..n {
+                    out.data[j * n + k] += rj * row[k];
+                }
+            }
+        }
+        for j in 0..n {
+            for k in (j + 1)..n {
+                out.data[k * n + j] = out.data[j * n + k];
+            }
+        }
+        out
+    }
+
+    /// Equal bits, with every NaN taken as one value: Rust leaves the
+    /// payload of a NaN result to the platform.
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// A seeded `n x p` design. Each column is dense, exactly zero
+    /// (`0.0` and `-0.0`), one-hot, or a mix of `±0.0`, subnormals,
+    /// huge values whose products overflow, and ordinary values. With
+    /// `non_finite`, one to three entries become `±inf` or NaN.
+    fn design(n: usize, p: usize, seed: u64, non_finite: bool) -> Matrix {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kinds: Vec<u32> = (0..p).map(|_| rng.random_range(0..4_u32)).collect();
+        let mut data = Vec::with_capacity(n * p);
+        for _ in 0..n {
+            for &kind in &kinds {
+                let normal = rng.random_range(-3.0..3.0);
+                data.push(match kind {
+                    0 => normal,
+                    1 if rng.random_bool(0.5) => 0.0,
+                    1 => -0.0,
+                    2 if rng.random_bool(1.0 / 7.0) => 1.0,
+                    2 => 0.0,
+                    _ => match rng.random_range(0..5_u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => normal * 1e-310,
+                        3 => normal * 1e300,
+                        _ => normal,
+                    },
+                });
+            }
+        }
+        if non_finite && n > 0 {
+            for _ in 0..rng.random_range(1..=3_usize) {
+                let at = rng.random_range(0..n * p);
+                data[at] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.random_range(0..3)];
+            }
+        }
+        Matrix::from_vec(n, p, data).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The tiled kernel reproduces the row loop bit for bit, at every
+        /// `p mod 4` edge-tile shape and row count, zero-row and special
+        /// values included.
+        #[test]
+        fn prop_gram_bit_identical_to_row_loop(
+            p in 1..=41_usize,
+            n in 0..=130_usize,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let x = design(n, p, seed, false);
+            proptest::prop_assert!(same_bits(x.gram().as_slice(), gram_rows(&x).as_slice()));
+        }
+
+        /// With `±inf` or NaN in the design, the zero skip decides entries
+        /// (`0 · inf` is NaN), and `gram` still matches the row loop.
+        #[test]
+        fn prop_gram_bit_identical_to_row_loop_with_non_finite_entries(
+            p in 1..=41_usize,
+            n in 1..=130_usize,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let x = design(n, p, seed, true);
+            proptest::prop_assert!(same_bits(x.gram().as_slice(), gram_rows(&x).as_slice()));
+        }
+    }
+
+    #[test]
+    fn gram_of_empty_shapes() {
+        assert_eq!(Matrix::zeros(0, 0).gram().shape(), (0, 0));
+        assert_eq!(Matrix::zeros(3, 0).gram().shape(), (0, 0));
+        let g = Matrix::zeros(0, 5).gram();
+        assert!(g.as_slice().iter().all(|v| v.to_bits() == 0));
+    }
+
+    /// The portable and the AVX2 instantiation of the tile source give
+    /// the same bits, and the portable one matches the row loop on the
+    /// upper triangle (on an AVX2 host `gram` never runs it otherwise).
+    /// The AVX2 half is skipped on CPUs without AVX2.
+    #[test]
+    fn portable_and_avx2_tiles_agree_bit_for_bit() {
+        for p in 1..=41 {
+            for (n, seed) in [(0, 1), (1, 2), (7, 3), (100, 4), (130, 5)] {
+                let x = design(n, p, seed + 100 * p as u64, false);
+                let mut portable = vec![0.0; p * p];
+                gram_tiles::<false>(x.as_slice(), p, &mut portable);
+                let oracle = gram_rows(&x);
+                for j in 0..p {
+                    let upper = j * p + j..(j + 1) * p;
+                    assert!(same_bits(&portable[upper.clone()], &oracle.data[upper]));
+                }
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") {
+                    let mut avx2 = vec![0.0; p * p];
+                    // SAFETY: the CPU supports AVX2, checked just above.
+                    unsafe { gram_upper_avx2(x.as_slice(), p, &mut avx2) };
+                    assert!(same_bits(&portable, &avx2), "p = {p}, n = {n}");
+                }
             }
         }
     }

@@ -58,9 +58,9 @@ impl QrDecomposition {
 
     /// The blocked factorization kernel. `col_block` only tiles the
     /// *schedule* of the reflector application; every `s_j = vᵀ a_j` is
-    /// accumulated over ascending row indices exactly as in
-    /// [`QrDecomposition::decompose_reference`], so the factors are
-    /// bit-identical to the reference kernel for every block width.
+    /// accumulated over ascending row indices exactly as in the
+    /// column-at-a-time test oracle (`decompose_reference`), so the
+    /// factors are bit-identical to it for every block width.
     fn decompose_blocked(a: Matrix, col_block: usize) -> Result<Self> {
         let (m, n) = a.shape();
         if m == 0 || n == 0 {
@@ -145,12 +145,13 @@ impl QrDecomposition {
         })
     }
 
-    /// The original column-at-a-time kernel, retained as the oracle for
-    /// the blocked path: the equivalence proptests below assert the
-    /// blocked factors match these bit for bit.
+    /// The original column-at-a-time kernel, the test oracle for the
+    /// blocked path: the equivalence proptests below assert the blocked
+    /// factors match these bit for bit.
     // Index-based loops keep the reflector/rhs coupling explicit.
+    #[cfg(test)]
     #[allow(clippy::needless_range_loop)]
-    pub fn decompose_reference(a: &Matrix) -> Result<Self> {
+    fn decompose_reference(a: &Matrix) -> Result<Self> {
         let (m, n) = a.shape();
         if m == 0 || n == 0 {
             return Err(LinalgError::Empty);
