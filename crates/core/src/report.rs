@@ -51,14 +51,19 @@ pub struct SeriesPoint {
     pub predicted: f64,
 }
 
-/// A timing measurement of §4.5.
+/// A timing measurement of §4.5: the spread of separately timed
+/// executions.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct TimingRow {
     /// What was measured (model label or pipeline stage).
     pub task: String,
-    /// Mean wall-clock milliseconds per execution.
-    pub mean_ms: f64,
-    /// Number of repetitions measured.
+    /// Median wall-clock milliseconds per execution.
+    pub median_ms: f64,
+    /// First quartile of the per-execution times.
+    pub q1_ms: f64,
+    /// Third quartile of the per-execution times.
+    pub q3_ms: f64,
+    /// Number of executions timed.
     pub reps: usize,
 }
 

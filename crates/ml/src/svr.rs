@@ -161,7 +161,8 @@ impl Svr {
     }
 }
 
-struct SmoState<'a> {
+struct SmoState {
+    /// Kernel matrix; exactly symmetric, so row `i` is also column `i`.
     k: Matrix,
     /// 2n dual variables: `a[p]` for p < n is α, for p ≥ n is α*.
     a: Vec<f64>,
@@ -169,10 +170,49 @@ struct SmoState<'a> {
     g: Vec<f64>,
     n: usize,
     c: f64,
-    _targets: &'a [f64],
 }
 
-impl SmoState<'_> {
+impl SmoState {
+    /// The solver at `a = 0`, where the gradient is just the linear term
+    /// `p = [ε − y; ε + y]`.
+    fn new(k: Matrix, y: &[f64], params: &SvrParams) -> SmoState {
+        let n = y.len();
+        let mut g = Vec::with_capacity(2 * n);
+        g.extend(y.iter().map(|&t| params.epsilon - t));
+        g.extend(y.iter().map(|&t| params.epsilon + t));
+        SmoState {
+            k,
+            a: vec![0.0; 2 * n],
+            g,
+            n,
+            c: params.c,
+        }
+    }
+
+    /// Runs SMO until no pair violates the KKT conditions by `tol` or
+    /// `max_iter` iterations have run, with the given pair selection and
+    /// gradient update. Returns the iteration count and whether it
+    /// converged.
+    fn solve(
+        &mut self,
+        params: &SvrParams,
+        select_pair: impl Fn(&SmoState, f64) -> Option<(usize, usize)>,
+        update_gradient: impl Fn(&mut SmoState, usize, usize, f64, f64),
+    ) -> (usize, bool) {
+        let mut iterations = 0usize;
+        while iterations < params.max_iter {
+            let Some((i, j)) = select_pair(self, params.tol) else {
+                return (iterations, true);
+            };
+            let (di, dj) = self.update_pair(i, j);
+            if di != 0.0 || dj != 0.0 {
+                update_gradient(self, i, j, di, dj);
+            }
+            iterations += 1;
+        }
+        (iterations, false)
+    }
+
     /// Constraint sign of variable `p`.
     #[inline]
     fn sign(&self, p: usize) -> f64 {
@@ -190,24 +230,43 @@ impl SmoState<'_> {
     }
 
     /// Maximal-violating-pair selection. Returns `None` at optimality.
+    ///
+    /// Scans the α half (`s_p = +1`, value `−G_p`), then the α* half
+    /// (`s_p = −1`, value `G_p`): the order of one pass over `p`, so a
+    /// tie still goes to the lowest index. A variable outside `I_up`
+    /// (`I_low`) is masked to `−∞` (`+∞`) rather than branched on; a
+    /// masked value never beats the running maximum (minimum), so the
+    /// pair is the one the membership tests pick.
     fn select_pair(&self, tol: f64) -> Option<(usize, usize)> {
-        let two_n = 2 * self.n;
+        let (n, c) = (self.n, self.c);
         let mut i = usize::MAX;
         let mut m_up = f64::NEG_INFINITY;
         let mut j = usize::MAX;
         let mut m_low = f64::INFINITY;
-        for p in 0..two_n {
-            let s = self.sign(p);
-            let v = -s * self.g[p];
-            let in_up = (s > 0.0 && self.a[p] < self.c) || (s < 0.0 && self.a[p] > 0.0);
-            let in_low = (s < 0.0 && self.a[p] < self.c) || (s > 0.0 && self.a[p] > 0.0);
-            if in_up && v > m_up {
-                m_up = v;
+        let (a_alpha, a_star) = self.a.split_at(n);
+        let (g_alpha, g_star) = self.g.split_at(n);
+        for (p, (&a, &g)) in a_alpha.iter().zip(g_alpha).enumerate() {
+            let up = if a < c { -g } else { f64::NEG_INFINITY };
+            let low = if a > 0.0 { -g } else { f64::INFINITY };
+            if up > m_up {
+                m_up = up;
                 i = p;
             }
-            if in_low && v < m_low {
-                m_low = v;
+            if low < m_low {
+                m_low = low;
                 j = p;
+            }
+        }
+        for (p, (&a, &g)) in a_star.iter().zip(g_star).enumerate() {
+            let up = if a > 0.0 { g } else { f64::NEG_INFINITY };
+            let low = if a < c { g } else { f64::INFINITY };
+            if up > m_up {
+                m_up = up;
+                i = n + p;
+            }
+            if low < m_low {
+                m_low = low;
+                j = n + p;
             }
         }
         if i == usize::MAX || j == usize::MAX || m_up - m_low < tol {
@@ -218,7 +277,8 @@ impl SmoState<'_> {
     }
 
     /// Analytic two-variable update (LibSVM `Solver::solve` inner step).
-    fn update_pair(&mut self, i: usize, j: usize) {
+    /// Returns the changes `(Δa_i, Δa_j)`.
+    fn update_pair(&mut self, i: usize, j: usize) -> (f64, f64) {
         let c = self.c;
         let (old_i, old_j) = (self.a[i], self.a[j]);
         if self.sign(i) != self.sign(j) {
@@ -270,14 +330,29 @@ impl SmoState<'_> {
                 self.a[j] = sum;
             }
         }
-        // Rank-two gradient update.
-        let (di, dj) = (self.a[i] - old_i, self.a[j] - old_j);
-        if di == 0.0 && dj == 0.0 {
-            return;
-        }
-        let two_n = 2 * self.n;
-        for p in 0..two_n {
-            self.g[p] += self.q(p, i) * di + self.q(p, j) * dj;
+        (self.a[i] - old_i, self.a[j] - old_j)
+    }
+
+    /// Rank-two gradient update `G_p += Q_pi·Δa_i + Q_pj·Δa_j` for all
+    /// `2n` variables in one pass over the kernel rows `i mod n` and
+    /// `j mod n`.
+    ///
+    /// With `c_i = s_i·Δa_i`, the α half adds `K_pi·c_i + K_pj·c_j` and
+    /// the α* half adds `(−K_pi·c_i) + (−K_pj·c_j)`. Multiplying by ±1 and
+    /// negating are exact and rounding is symmetric under negation, so
+    /// each term is bit for bit the `(s_p·s_i·K_pi)·Δa_i` it replaces,
+    /// signed zeros included. The α* half keeps its own sum of negated
+    /// terms: `G_p − (K_pi·c_i + K_pj·c_j)` differs from it when `G_p` is
+    /// `−0.0` and the sum is zero, which `ε = −0.0` can reach.
+    fn update_gradient(&mut self, i: usize, j: usize, di: f64, dj: f64) {
+        let n = self.n;
+        let (ci, cj) = (self.sign(i) * di, self.sign(j) * dj);
+        let (ki, kj) = (self.k.row(i % n), self.k.row(j % n));
+        let (g_alpha, g_star) = self.g.split_at_mut(n);
+        for (((ga, gs), &kpi), &kpj) in g_alpha.iter_mut().zip(g_star).zip(ki).zip(kj) {
+            let (ti, tj) = (kpi * ci, kpj * cj);
+            *ga += ti + tj;
+            *gs += -ti + -tj;
         }
     }
 
@@ -315,6 +390,34 @@ impl SmoState<'_> {
         };
         -rho
     }
+
+    /// The fitted model: the bias and the rows with `β_i = α_i − α*_i ≠ 0`.
+    fn into_fitted(self, x: &Matrix, iterations: usize, converged: bool) -> Result<FittedSvr> {
+        let n = self.n;
+        let bias = self.compute_bias();
+        let mut support_rows: Vec<&[f64]> = Vec::new();
+        let mut beta = Vec::new();
+        for i in 0..n {
+            let b = self.a[i] - self.a[n + i];
+            if b != 0.0 {
+                support_rows.push(x.row(i));
+                beta.push(b);
+            }
+        }
+        let support = if support_rows.is_empty() {
+            Matrix::zeros(0, x.cols())
+        } else {
+            Matrix::from_rows(&support_rows)?
+        };
+        Ok(FittedSvr {
+            support,
+            beta,
+            bias,
+            n_features: x.cols(),
+            iterations,
+            converged,
+        })
+    }
 }
 
 impl Regressor for Svr {
@@ -328,62 +431,13 @@ impl Regressor for Svr {
             });
         }
         let x = data.x();
-        let y = data.y();
-        let k = self.params.kernel.matrix(x);
-
-        // At a = 0 the gradient is just the linear term p = [ε − y; ε + y].
-        let mut g = Vec::with_capacity(2 * n);
-        g.extend(y.iter().map(|&t| self.params.epsilon - t));
-        g.extend(y.iter().map(|&t| self.params.epsilon + t));
-
-        let mut state = SmoState {
-            k,
-            a: vec![0.0; 2 * n],
-            g,
-            n,
-            c: self.params.c,
-            _targets: y,
-        };
-
-        let mut iterations = 0usize;
-        let mut converged = false;
-        while iterations < self.params.max_iter {
-            match state.select_pair(self.params.tol) {
-                Some((i, j)) => state.update_pair(i, j),
-                None => {
-                    converged = true;
-                    break;
-                }
-            }
-            iterations += 1;
-        }
-
-        let bias = state.compute_bias();
-
-        // Collect support vectors: β_i = α_i − α*_i ≠ 0.
-        let mut support_rows: Vec<&[f64]> = Vec::new();
-        let mut beta = Vec::new();
-        for i in 0..n {
-            let b = state.a[i] - state.a[n + i];
-            if b != 0.0 {
-                support_rows.push(x.row(i));
-                beta.push(b);
-            }
-        }
-        let support = if support_rows.is_empty() {
-            Matrix::zeros(0, x.cols())
-        } else {
-            Matrix::from_rows(&support_rows)?
-        };
-
-        self.fitted = Some(FittedSvr {
-            support,
-            beta,
-            bias,
-            n_features: x.cols(),
-            iterations,
-            converged,
-        });
+        let mut state = SmoState::new(self.params.kernel.matrix(x), data.y(), &self.params);
+        let (iterations, converged) = state.solve(
+            &self.params,
+            SmoState::select_pair,
+            SmoState::update_gradient,
+        );
+        self.fitted = Some(state.into_fitted(x, iterations, converged)?);
         Ok(())
     }
 
@@ -418,6 +472,127 @@ impl Regressor for Svr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The pair selection `select_pair` replaced, one signed pass over
+    /// all `2n` variables: the oracle it must match.
+    fn select_pair_by_sign(state: &SmoState, tol: f64) -> Option<(usize, usize)> {
+        let mut i = usize::MAX;
+        let mut m_up = f64::NEG_INFINITY;
+        let mut j = usize::MAX;
+        let mut m_low = f64::INFINITY;
+        for p in 0..2 * state.n {
+            let s = state.sign(p);
+            let v = -s * state.g[p];
+            let in_up = (s > 0.0 && state.a[p] < state.c) || (s < 0.0 && state.a[p] > 0.0);
+            let in_low = (s < 0.0 && state.a[p] < state.c) || (s > 0.0 && state.a[p] > 0.0);
+            if in_up && v > m_up {
+                m_up = v;
+                i = p;
+            }
+            if in_low && v < m_low {
+                m_low = v;
+                j = p;
+            }
+        }
+        if i == usize::MAX || j == usize::MAX || m_up - m_low < tol {
+            None
+        } else {
+            Some((i, j))
+        }
+    }
+
+    /// The gradient update `update_gradient` replaced, `Q_pq` element
+    /// by element: the oracle it must match.
+    fn update_gradient_by_q(state: &mut SmoState, i: usize, j: usize, di: f64, dj: f64) {
+        for p in 0..2 * state.n {
+            state.g[p] += state.q(p, i) * di + state.q(p, j) * dj;
+        }
+    }
+
+    /// A fit through the oracle loops.
+    fn fit_by_oracle(params: &SvrParams, data: &Dataset) -> FittedSvr {
+        let x = data.x();
+        let mut state = SmoState::new(params.kernel.matrix(x), data.y(), params);
+        let (iterations, converged) =
+            state.solve(params, select_pair_by_sign, update_gradient_by_q);
+        state.into_fitted(x, iterations, converged).unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A seeded `n x p` problem: standardized-looking features with some
+    /// exact zeros, a nonlinear target with noise, and with `shape` 1
+    /// duplicated rows (ties in pair selection) or with `shape` 2 a
+    /// constant target.
+    fn problem(n: usize, p: usize, seed: u64, shape: u32) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(n * p);
+        for _ in 0..n * p {
+            data.push(if rng.random_bool(0.1) {
+                0.0
+            } else {
+                rng.random_range(-2.5..2.5)
+            });
+        }
+        if shape == 1 {
+            for r in 1..n {
+                if rng.random_bool(0.4) {
+                    let src = rng.random_range(0..r);
+                    data.copy_within(src * p..(src + 1) * p, r * p);
+                }
+            }
+        }
+        let y = (0..n)
+            .map(|r| match shape {
+                2 => 4.0,
+                _ => {
+                    let row: &[f64] = &data[r * p..(r + 1) * p];
+                    (row[0] * 1.7).sin() + 0.4 * row[p - 1] + rng.random_range(-0.3..0.3)
+                }
+            })
+            .collect();
+        Dataset::new(Matrix::from_vec(n, p, data).unwrap(), y).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fit matches the oracle loops bit for bit: bias, dual
+        /// coefficients, support rows, iteration count and convergence,
+        /// at every `p mod 4`, for the paper's and the rescaled `γ`, a
+        /// small `C`, and the linear kernel.
+        #[test]
+        fn prop_fit_bit_identical_to_oracle_loops(
+            n in 2..=150_usize,
+            p in 1..=35_usize,
+            setting in 0..4_u32,
+            shape in 0..3_u32,
+            seed in any::<u64>(),
+        ) {
+            let params = match setting {
+                0 => SvrParams::default(),
+                1 => SvrParams::paper_scaled(p),
+                2 => SvrParams { c: 0.05, ..SvrParams::paper_scaled(p) },
+                _ => SvrParams { kernel: Kernel::Linear, max_iter: 3_000, ..SvrParams::default() },
+            };
+            let data = problem(n, p, seed, shape);
+            let mut svr = Svr::new(params.clone());
+            svr.fit(&data).unwrap();
+            let got = svr.fitted.as_ref().unwrap();
+            let want = fit_by_oracle(&params, &data);
+            prop_assert_eq!(got.bias.to_bits(), want.bias.to_bits());
+            prop_assert_eq!(bits(&got.beta), bits(&want.beta));
+            prop_assert_eq!(got.support.shape(), want.support.shape());
+            prop_assert_eq!(bits(got.support.as_slice()), bits(want.support.as_slice()));
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.converged, want.converged);
+        }
+    }
 
     fn dataset_1d(xs: &[f64], y: &[f64]) -> Dataset {
         let rows: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();

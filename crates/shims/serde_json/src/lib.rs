@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{Content, Deserialize, Serialize};
 
@@ -65,8 +65,8 @@ fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: us
         Content::Null => out.push_str("null"),
         Content::Bool(true) => out.push_str("true"),
         Content::Bool(false) => out.push_str("false"),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
+        Content::I64(v) => write_display(v, out),
+        Content::U64(v) => write_display(v, out),
         Content::F64(v) => write_f64(*v, out),
         Content::Str(s) => write_escaped(s, out),
         Content::Seq(items) => write_delimited(
@@ -119,8 +119,7 @@ fn write_delimited<I, F>(
     }
     for (i, item) in items.enumerate() {
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+            write_indent(width * (depth + 1), out);
         }
         write_item(item, out, indent, depth + 1);
         if i + 1 < n {
@@ -128,10 +127,20 @@ fn write_delimited<I, F>(
         }
     }
     if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
+        write_indent(width * depth, out);
     }
     out.push(close);
+}
+
+/// A newline and `spaces` spaces.
+fn write_indent(spaces: usize, out: &mut String) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', spaces));
+}
+
+/// Formats `v` straight into `out`, with no intermediate `String`.
+fn write_display(v: impl fmt::Display, out: &mut String) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 fn write_f64(v: f64, out: &mut String) {
@@ -142,9 +151,9 @@ fn write_f64(v: f64, out: &mut String) {
     }
     // Rust's shortest round-trip formatting; keep a float marker so the
     // value parses back as a float-typed number.
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
+    let start = out.len();
+    write_display(v, out);
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
@@ -159,7 +168,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -476,6 +485,61 @@ mod tests {
         assert!(from_str::<Vec<u32>>("[1,2").is_err());
         assert!(from_str::<String>("\"abc").is_err());
         assert!(from_str::<u32>("\"str\"").is_err());
+    }
+
+    /// The writer's exact bytes: shortest round-trip digits, no
+    /// exponent, `.0` on a float with no fraction, and the integer
+    /// extremes.
+    #[test]
+    fn number_bytes_are_pinned() {
+        assert_eq!(to_string(&(0.1 + 0.2)).unwrap(), "0.30000000000000004");
+        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&1e21f64).unwrap(), "1000000000000000000000.0");
+        assert_eq!(to_string(&1e-7f64).unwrap(), "0.0000001");
+        assert_eq!(
+            to_string(&5e-324f64).unwrap(),
+            format!("0.{}5", "0".repeat(323))
+        );
+        assert_eq!(
+            to_string(&f64::MAX).unwrap(),
+            format!("17976931348623157{}.0", "0".repeat(292))
+        );
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(to_string(&[v, 1.0]).unwrap(), "[null,1.0]");
+        }
+    }
+
+    #[test]
+    fn pretty_bytes_are_pinned() {
+        let value = Content::Map(vec![
+            (
+                "a".into(),
+                Content::Seq(vec![Content::I64(1), Content::F64(2.5)]),
+            ),
+            (
+                "b".into(),
+                Content::Map(vec![
+                    ("c".into(), Content::Seq(vec![])),
+                    ("d".into(), Content::Map(vec![])),
+                    (
+                        "e".into(),
+                        Content::Seq(vec![Content::Seq(vec![Content::Null])]),
+                    ),
+                ]),
+            ),
+            ("f".into(), Content::Str("x\u{1}".into())),
+        ]);
+        let expected = "{\n  \"a\": [\n    1,\n    2.5\n  ],\n  \"b\": {\n    \"c\": [],\n    \
+                        \"d\": {},\n    \"e\": [\n      [\n        null\n      ]\n    ]\n  },\n  \
+                        \"f\": \"x\\u0001\"\n}";
+        assert_eq!(to_string_pretty(&value).unwrap(), expected);
+        assert_eq!(
+            to_string(&value).unwrap(),
+            "{\"a\":[1,2.5],\"b\":{\"c\":[],\"d\":{},\"e\":[[null]]},\"f\":\"x\\u0001\"}"
+        );
     }
 
     #[test]

@@ -88,6 +88,32 @@ fn full_period_lr_and_lasso_errors_match_the_backtest_references() {
     }
 }
 
+/// SVR percentage errors under `PipelineConfig::default()` (the paper's
+/// RBF SVR with `γ = 1/p`, w = 140, K = 20 of 40, a refit every 7
+/// slides) over the last 30 days of two vehicles of fleet
+/// `small(10, 2019)`, next-working-day: (vehicle, SVR PE).
+const SVR_REFERENCE_PE: [(u32, f64); 2] = [(0, 16.98407597480895), (1, 44.186376883843174)];
+
+/// Pins the SVR forecasts end to end within 1e-9, so a change to the SMO
+/// solver or the kernel matrix that moves them fails here.
+#[test]
+fn svr_errors_match_the_recorded_references() {
+    let fleet = Fleet::generate(FleetConfig::small(10, 2019));
+    let config = PipelineConfig {
+        eval_tail: Some(30),
+        ..PipelineConfig::default()
+    };
+    for (id, want) in SVR_REFERENCE_PE {
+        let view = VehicleView::build(&fleet, VehicleId(id), Scenario::NextWorkingDay);
+        let eval = evaluate_vehicle(&view, &config).expect("evaluable");
+        assert!(
+            (eval.percentage_error - want).abs() <= 1e-9,
+            "vehicle {id}: SVR PE {:?} vs reference {want}",
+            eval.percentage_error
+        );
+    }
+}
+
 #[test]
 #[ignore = "paper-faithful full-period evaluation; run with --ignored (release recommended)"]
 fn faithful_orderings_hold_without_amortization() {
