@@ -85,11 +85,6 @@ impl RegressionTree {
         }
     }
 
-    /// Whether the tree has been fitted.
-    pub fn is_fitted(&self) -> bool {
-        !self.nodes.is_empty()
-    }
-
     /// Number of leaves in the fitted tree.
     pub fn n_leaves(&self) -> usize {
         self.nodes

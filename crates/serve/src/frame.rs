@@ -764,7 +764,7 @@ mod tests {
         assert_eq!((second.generation, second.rebuilt), (2, false));
         assert_eq!(
             std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap(),
-            "{\n  \"format_version\": 1,\n  \"generation\": 2\n}"
+            "{\n  \"format_version\": 2,\n  \"generation\": 2\n}"
         );
 
         std::fs::write(dir.join(MANIFEST_NAME), b"not json").unwrap();

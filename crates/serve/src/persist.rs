@@ -7,7 +7,10 @@
 //! payload, so a reader can tell a good snapshot from a torn tail, a
 //! flipped bit, or a file from a future format — a kill -9 mid-write
 //! never corrupts the cache and never loses more than the in-flight
-//! entry.
+//! entry. The payload is the entry's `Content` tree in the serde shim's
+//! binary encoding ([`Content::encode_binary`]): every float is stored
+//! as its exact bits, so a recovered model predicts bit for bit as it
+//! did before, with no decimal formatting on the write path.
 //!
 //! Startup recovery ([`SnapshotStore::recover`], run by
 //! [`crate::ModelStore::open`]) classifies every file as loadable,
@@ -35,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use vup_core::{FittedPredictor, SavedPredictor};
 use vup_fleetsim::fleet::VehicleId;
 use vup_obs::{Counter, Registry, SpanCtx, Tracer};
@@ -52,16 +55,14 @@ pub use crate::frame::{crc32, HEADER_LEN, MANIFEST_NAME, QUARANTINE_DIR};
 
 /// First four bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"VUPM";
-/// Snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Snapshot format version this build reads and writes: 2 is the
+/// payload in the serde shim's binary `Content` encoding
+/// ([`Content::encode_binary`]), with every float's exact bits.
+/// Version 1 (JSON) files are not read; recovery quarantines them as
+/// [`SnapshotDefect::Version`].
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Extension of committed snapshot files.
 pub const SNAPSHOT_EXT: &str = "snap";
-
-/// Frames a serialized payload with the versioned, checksummed header
-/// (the shared [`crate::frame`] layout under the snapshot magic).
-pub fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
-    frame::encode_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload)
-}
 
 /// Why a snapshot file cannot be loaded. Doubles as the quarantine
 /// suffix and the `reason` label of `vup_store_quarantined_total`.
@@ -238,7 +239,27 @@ impl StorageBackend for DiskBackend {
         written
     }
 
+    /// Replaces an existing regular file by swapping the two names
+    /// ([`exchange`]) and removing `from`, which then holds the replaced
+    /// bytes; anything else is a plain `rename(2)`. A plain rename over
+    /// an existing file makes ext4 (`auto_da_alloc`) allocate and submit
+    /// the new file's blocks inside the call, a disk wait in every
+    /// snapshot replace; the swap leaves writeback to the kernel, as a
+    /// rename onto a fresh name does. `to` holds the old bytes, then the
+    /// new, as with a plain rename; a crash between the swap and the
+    /// removal leaves the old bytes under the temp name, a leftover temp
+    /// file like the one a crash mid-write leaves.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let replaces_file =
+            from != to && std::fs::symlink_metadata(to).is_ok_and(|meta| meta.is_file());
+        if replaces_file && exchange::swap(from, to).is_ok() {
+            // The rename is done: `to` holds the new bytes. A failed
+            // removal leaves a stray temp file that the next open
+            // quarantines, and must not be reported, since a retried
+            // rename would swap the old bytes back in.
+            let _ = std::fs::remove_file(from);
+            return Ok(());
+        }
         std::fs::rename(from, to)
     }
 
@@ -263,6 +284,60 @@ impl StorageBackend for DiskBackend {
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)
+    }
+}
+
+/// Atomic swap of two names, which [`DiskBackend::rename`] uses to
+/// replace a file. `std` has no such call; it already links libc, so
+/// `renameat2(2)` is declared here.
+#[cfg(target_os = "linux")]
+mod exchange {
+    use std::ffi::{c_char, CString};
+    use std::io;
+    use std::os::unix::ffi::OsStrExt;
+    use std::path::Path;
+
+    /// `AT_FDCWD` from `<fcntl.h>`: resolve relative paths from the
+    /// working directory.
+    const AT_FDCWD: i32 = -100;
+    /// `RENAME_EXCHANGE` from `<linux/fs.h>`.
+    const RENAME_EXCHANGE: u32 = 1 << 1;
+
+    extern "C" {
+        fn renameat2(
+            olddirfd: i32,
+            oldpath: *const c_char,
+            newdirfd: i32,
+            newpath: *const c_char,
+            flags: u32,
+        ) -> i32;
+    }
+
+    /// Atomically swaps the entries at `a` and `b`; both must exist. An
+    /// error (a filesystem without the swap included) changes nothing.
+    pub fn swap(a: &Path, b: &Path) -> io::Result<()> {
+        let a = CString::new(a.as_os_str().as_bytes())?;
+        let b = CString::new(b.as_os_str().as_bytes())?;
+        // SAFETY: both pointers come from live `CString`s, so they are
+        // NUL-terminated and valid for the whole call, which only reads
+        // them; `AT_FDCWD` and the flag are constants the kernel accepts.
+        let rc = unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), RENAME_EXCHANGE) };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+}
+
+/// No swap off Linux: [`DiskBackend::rename`] renames over the file.
+#[cfg(not(target_os = "linux"))]
+mod exchange {
+    use std::io;
+    use std::path::Path;
+
+    pub fn swap(_: &Path, _: &Path) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 
@@ -637,14 +712,16 @@ impl SnapshotStore {
     ) -> bool {
         let mut span = ctx.child("store_persist");
         span.arg("vehicle", vehicle.0);
-        let payload = serde_json::to_string(&SnapshotPayload {
+        let payload = SnapshotPayload {
             vehicle_id: vehicle.0,
             config_fingerprint: fingerprint,
             trained_at,
             predictor: predictor.save(),
-        })
-        .expect("snapshot payload serializes");
-        let bytes = encode_snapshot(payload.as_bytes());
+        };
+        let mut bytes = Vec::new();
+        frame::encode_frame_into(&mut bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |out| {
+            payload.to_content().encode_binary(out)
+        });
         span.arg("bytes", bytes.len());
         span.add_bytes(bytes.len() as u64);
         let name = Self::file_name(vehicle, fingerprint);
@@ -747,9 +824,9 @@ impl SnapshotStore {
         bytes: &[u8],
     ) -> Result<(VehicleId, u64, StoredModel), SnapshotDefect> {
         let payload = decode_snapshot(bytes)?;
-        let text = std::str::from_utf8(payload).map_err(|_| SnapshotDefect::Decode)?;
-        let snapshot: SnapshotPayload =
-            serde_json::from_str(text).map_err(|_| SnapshotDefect::Decode)?;
+        let snapshot = Content::decode_binary(payload)
+            .and_then(|content| SnapshotPayload::from_content(&content))
+            .map_err(|_| SnapshotDefect::Decode)?;
         let vehicle = VehicleId(snapshot.vehicle_id);
         // The name must agree with the content (a copied or renamed
         // file would otherwise warm-start under the wrong key) …
@@ -919,6 +996,43 @@ mod tests {
     }
 
     #[test]
+    fn disk_rename_replaces_files_and_refuses_directories_as_rename_does() {
+        let dir = temp_dir("rename");
+        let (tmp, target) = (dir.join("a.snap.tmp"), dir.join("a.snap"));
+        let names = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+
+        // Onto a fresh name, then over the file it made.
+        std::fs::write(&tmp, b"old").unwrap();
+        DiskBackend.rename(&tmp, &target).unwrap();
+        std::fs::write(&tmp, b"new").unwrap();
+        DiskBackend.rename(&tmp, &target).unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"new");
+        assert_eq!(names(), ["a.snap"]);
+
+        // Onto itself: a no-op that keeps the file.
+        DiskBackend.rename(&target, &target).unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"new");
+
+        // A file never replaces a directory, and a missing source is
+        // an error that touches nothing.
+        let sub = dir.join("sub");
+        std::fs::create_dir(&sub).unwrap();
+        assert!(DiskBackend.rename(&target, &sub).is_err());
+        assert!(sub.is_dir());
+        assert!(DiskBackend.rename(&tmp, &target).is_err());
+        assert_eq!(std::fs::read(&target).unwrap(), b"new");
+        assert_eq!(names(), ["a.snap", "sub"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32/ISO-HDLC test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -928,8 +1042,8 @@ mod tests {
 
     #[test]
     fn snapshot_framing_round_trips_and_classifies_defects() {
-        let payload = b"{\"hello\":1}";
-        let bytes = encode_snapshot(payload);
+        let payload = b"any payload";
+        let bytes = frame::encode_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload);
         assert_eq!(bytes.len(), HEADER_LEN + payload.len());
         assert_eq!(decode_snapshot(&bytes).unwrap(), payload);
 
@@ -1062,7 +1176,7 @@ mod tests {
         std::fs::write(dir.join("v00000003-0000000000000003.snap"), &future).unwrap();
         std::fs::write(
             dir.join("v00000004-0000000000000004.snap"),
-            encode_snapshot(b"not a model"),
+            frame::encode_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, b"not a model"),
         )
         .unwrap();
         std::fs::write(dir.join("v00000005-0000000000000005.snap.tmp"), b"partial").unwrap();

@@ -1119,13 +1119,9 @@ impl<'f> PredictionService<'f> {
                         self.publish_transition(t, &prepare_ctx);
                     }
                     let trained_at = view.len();
-                    let model = self.store.insert_traced(
-                        id,
-                        &self.config,
-                        *predictor,
-                        trained_at,
-                        &prepare_ctx,
-                    );
+                    let model =
+                        self.store
+                            .insert(id, &self.config, *predictor, trained_at, &prepare_ctx);
                     Prepared::Ready {
                         view,
                         model,

@@ -261,22 +261,14 @@ impl ModelStore {
     /// Caches a model trained for `vehicle` with its training window
     /// ending at `trained_at`, replacing any previous entry for the same
     /// vehicle and configuration. Returns the shared handle.
-    pub fn insert(
-        &self,
-        vehicle: VehicleId,
-        config: &PipelineConfig,
-        predictor: FittedPredictor,
-        trained_at: usize,
-    ) -> Arc<StoredModel> {
-        self.insert_traced(vehicle, config, predictor, trained_at, &SpanCtx::disabled())
-    }
-
-    /// [`ModelStore::insert`] with a tracing context: on a durable
-    /// store the write-through `store_persist` span nests under `ctx`.
-    /// A persistence failure never fails the insert — the entry serves
+    ///
+    /// On a durable store the model is also persisted, and the
+    /// write-through `store_persist` span nests under `ctx`
+    /// ([`SpanCtx::disabled`] when the caller traces nothing). A
+    /// persistence failure never fails the insert — the entry serves
     /// from memory and the failure counts into
     /// `vup_store_persist_failed_total`.
-    pub fn insert_traced(
+    pub fn insert(
         &self,
         vehicle: VehicleId,
         config: &PipelineConfig,
@@ -416,11 +408,23 @@ mod tests {
         FittedPredictor::fit(&view, cfg, 0, 60).unwrap()
     }
 
+    /// Caches a cheap model for `vehicle`, untraced.
+    fn insert(store: &ModelStore, vehicle: u32, cfg: &PipelineConfig, trained_at: usize) {
+        let predictor = cheap_predictor(cfg);
+        store.insert(
+            VehicleId(vehicle),
+            cfg,
+            predictor,
+            trained_at,
+            &SpanCtx::disabled(),
+        );
+    }
+
     #[test]
     fn get_respects_the_retrain_cadence() {
         let store = ModelStore::new();
         let cfg = config();
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
 
         assert!(store.get(VehicleId(0), &cfg, 100).is_some());
         assert!(store.get(VehicleId(0), &cfg, 106).is_some());
@@ -443,7 +447,7 @@ mod tests {
             ModelStore::fingerprint(&cfg_b)
         );
 
-        store.insert(VehicleId(0), &cfg_a, cheap_predictor(&cfg_a), 100);
+        insert(&store, 0, &cfg_a, 100);
         assert!(store.get(VehicleId(0), &cfg_b, 100).is_none());
         assert_eq!(store.len(), 1);
     }
@@ -454,9 +458,9 @@ mod tests {
         let cfg_a = config();
         let mut cfg_b = config();
         cfg_b.retrain_every = 14;
-        store.insert(VehicleId(0), &cfg_a, cheap_predictor(&cfg_a), 100);
-        store.insert(VehicleId(0), &cfg_b, cheap_predictor(&cfg_b), 100);
-        store.insert(VehicleId(1), &cfg_a, cheap_predictor(&cfg_a), 100);
+        insert(&store, 0, &cfg_a, 100);
+        insert(&store, 0, &cfg_b, 100);
+        insert(&store, 1, &cfg_a, 100);
         assert_eq!(store.len(), 3);
 
         assert_eq!(store.invalidate(VehicleId(0)), 2);
@@ -475,7 +479,7 @@ mod tests {
         let cfg = config();
 
         assert!(store.get(VehicleId(0), &cfg, 100).is_none()); // absent
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
         assert!(store.get(VehicleId(0), &cfg, 100).is_some()); // hit
         assert!(store.get(VehicleId(0), &cfg, 120).is_none()); // stale
         store.invalidate(VehicleId(0));
@@ -492,7 +496,7 @@ mod tests {
         assert_eq!(counter("vup_store_invalidations_total", &[]), 1);
         assert_eq!(registry.gauge("vup_store_models").get(), 0.0);
 
-        store.insert(VehicleId(1), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 1, &cfg, 100);
         assert_eq!(registry.gauge("vup_store_models").get(), 1.0);
         store.clear();
         assert_eq!(counter("vup_store_invalidations_total", &[]), 2);
@@ -507,7 +511,7 @@ mod tests {
             store.lookup(VehicleId(0), &cfg, 100),
             Lookup::Absent
         ));
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
         match store.lookup(VehicleId(0), &cfg, 103) {
             Lookup::Hit(m) => assert_eq!(m.trained_at, 100),
             _ => panic!("expected a hit"),
@@ -527,7 +531,7 @@ mod tests {
         let store = ModelStore::observed(&registry);
         let cfg = config();
         assert!(!store.poison(VehicleId(0), &cfg), "nothing to poison yet");
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
         assert!(store.get(VehicleId(0), &cfg, 100).is_some());
 
         assert!(store.poison(VehicleId(0), &cfg));
@@ -538,7 +542,7 @@ mod tests {
         assert!(store.peek(VehicleId(0), &cfg).is_some(), "entry survives");
 
         // A retrain heals it.
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
         assert!(store.get(VehicleId(0), &cfg, 100).is_some());
         assert_eq!(registry.counter("vup_store_poisoned_total").get(), 1);
     }
@@ -550,8 +554,8 @@ mod tests {
         let cfg = config();
         let gauge = || registry.gauge("vup_store_models").get();
 
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
-        store.insert(VehicleId(1), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
+        insert(&store, 1, &cfg, 100);
         assert_eq!(gauge(), 2.0);
 
         // Poisoning removes the entry from the servable count …
@@ -565,7 +569,7 @@ mod tests {
         assert_eq!(gauge(), 1.0);
 
         // … a retrain restores it …
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
+        insert(&store, 0, &cfg, 100);
         assert_eq!(gauge(), 2.0);
 
         // … and invalidating a *poisoned* entry does not double-drop.
@@ -589,8 +593,8 @@ mod tests {
             let store = ModelStore::open(&dir).unwrap();
             assert!(store.is_durable());
             assert_eq!(store.recovery().unwrap().recovered, 0);
-            store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
-            store.insert(VehicleId(1), &cfg, cheap_predictor(&cfg), 107);
+            insert(&store, 0, &cfg, 100);
+            insert(&store, 1, &cfg, 107);
         }
 
         // Second process: warm start recovers both entries verbatim.
@@ -631,8 +635,8 @@ mod tests {
     fn insert_replaces_and_fingerprint_is_stable() {
         let store = ModelStore::new();
         let cfg = config();
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 100);
-        store.insert(VehicleId(0), &cfg, cheap_predictor(&cfg), 107);
+        insert(&store, 0, &cfg, 100);
+        insert(&store, 0, &cfg, 107);
         assert_eq!(store.len(), 1);
         assert_eq!(store.peek(VehicleId(0), &cfg).unwrap().trained_at, 107);
         // Equal configs fingerprint equally.

@@ -6,6 +6,7 @@ use vup_core::{ModelSpec, PipelineConfig, VehicleView};
 use vup_fleetsim::fleet::{Fleet, FleetConfig, VehicleId};
 use vup_ml::baseline::BaselineSpec;
 use vup_ml::RegressorSpec;
+use vup_obs::SpanCtx;
 use vup_serve::{BatchRequest, ModelStore, PredictionService, ServeOutcome};
 
 fn fast_config(model: ModelSpec) -> PipelineConfig {
@@ -115,7 +116,7 @@ proptest! {
                         let _ = store.get(id, &config, now);
                     }
                     1 => {
-                        store.insert(id, &config, predictor.clone(), now);
+                        store.insert(id, &config, predictor.clone(), now, &SpanCtx::disabled());
                     }
                     2 => {
                         store.invalidate(id);
@@ -134,7 +135,7 @@ proptest! {
 
         // The store is still usable afterwards, and any fresh entry it
         // serves respects the cadence contract.
-        store.insert(VehicleId(0), &config, predictor.clone(), 100);
+        store.insert(VehicleId(0), &config, predictor.clone(), 100, &SpanCtx::disabled());
         let got = store.get(VehicleId(0), &config, 100);
         prop_assert!(got.is_some());
         prop_assert!(store.get(VehicleId(0), &config, 100 + config.retrain_every).is_none());

@@ -182,6 +182,7 @@ mod tests {
     fn seed_stores(root: &Path, shards: u32, vehicles: u32) -> Vec<Vec<String>> {
         use vup_core::{ModelSpec, PipelineConfig};
         use vup_ml::baseline::BaselineSpec;
+        use vup_obs::SpanCtx;
         use vup_serve::ModelStore;
         let fleet =
             vup_fleetsim::Fleet::generate(vup_fleetsim::FleetConfig::small(vehicles as usize, 7));
@@ -198,7 +199,13 @@ mod tests {
                 let view = vup_core::VehicleView::build(&fleet, VehicleId(id), config.scenario);
                 let predictor = vup_core::FittedPredictor::fit(&view, &config, 0, view.len())
                     .expect("baseline fit cannot fail");
-                store.insert(VehicleId(id), &config, predictor, view.len());
+                store.insert(
+                    VehicleId(id),
+                    &config,
+                    predictor,
+                    view.len(),
+                    &SpanCtx::disabled(),
+                );
             }
         }
         (0..shards)

@@ -70,6 +70,7 @@ proptest! {
 fn rebalance_moves_exactly_the_remapped_snapshot_set() {
     use vup_core::{ModelSpec, PipelineConfig, VehicleView};
     use vup_ml::baseline::BaselineSpec;
+    use vup_obs::SpanCtx;
     use vup_serve::{parse_snapshot_name, DiskBackend, ModelStore, StorageBackend};
     use vup_shard::{rebalance, shard_dir};
 
@@ -94,7 +95,13 @@ fn rebalance_moves_exactly_the_remapped_snapshot_set() {
             let view = VehicleView::build(&fleet, VehicleId(id), config.scenario);
             let predictor = vup_core::FittedPredictor::fit(&view, &config, 0, view.len())
                 .expect("baseline fit cannot fail");
-            store.insert(VehicleId(id), &config, predictor, view.len());
+            store.insert(
+                VehicleId(id),
+                &config,
+                predictor,
+                view.len(),
+                &SpanCtx::disabled(),
+            );
         }
     }
 

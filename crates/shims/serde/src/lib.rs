@@ -4,9 +4,11 @@
 //! uses a much simpler contract — every [`Serialize`] type renders itself
 //! to a [`Content`] tree, and every [`Deserialize`] type rebuilds itself
 //! from one. `serde_json` (also vendored) converts `Content` to and from
-//! JSON text. The `#[derive(Serialize, Deserialize)]` macros come from
-//! the vendored `serde_derive` proc-macro crate and target this
-//! contract.
+//! JSON text; [`Content::encode_binary`] and [`Content::decode_binary`]
+//! convert it to and from a compact tagged byte encoding that keeps
+//! every float's exact bits. The
+//! `#[derive(Serialize, Deserialize)]` macros come from the vendored
+//! `serde_derive` proc-macro crate and target this contract.
 //!
 //! Supported shapes (everything the workspace derives): structs with
 //! named fields, unit structs, enums with unit / tuple / struct
@@ -19,6 +21,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod binary;
 
 /// The self-describing value tree both traits speak.
 #[derive(Debug, Clone, PartialEq)]

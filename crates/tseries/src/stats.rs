@@ -29,11 +29,6 @@ pub fn variance_sample(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
-/// Sample standard deviation. Returns `None` when `xs.len() < 2`.
-pub fn std_sample(xs: &[f64]) -> Option<f64> {
-    variance_sample(xs).map(f64::sqrt)
-}
-
 /// Minimum value. Returns `None` for an empty slice; NaNs are skipped.
 pub fn min(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().filter(|v| !v.is_nan()).reduce(f64::min)

@@ -254,7 +254,8 @@ fn a_full_disk_degrades_persistence_but_never_serving() {
     let fleet = Fleet::generate(FleetConfig::small(6, 9000));
     let batch = requests(&[0, 1, 2, 3, 4, 5], 2);
     let plan = DiskFaultPlan {
-        // Roughly: the manifest plus two ~2 KiB snapshots fit.
+        // The manifest and five ~0.95 KB LR snapshots fit; the sixth
+        // does not.
         full_disk_after_bytes: Some(5_000),
         ..DiskFaultPlan::default()
     };
