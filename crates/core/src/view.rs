@@ -6,6 +6,9 @@
 //! for next-working-day), carrying the utilization hours, the aggregated
 //! CAN channels and the encoded calendar context of that day.
 
+use std::fmt;
+use std::sync::Arc;
+
 use vup_dataprep::enrich::{day_context, encode_context, CONTEXT_FEATURE_COUNT};
 use vup_dataprep::pipeline::can_channel_values;
 use vup_fleetsim::calendar::Date;
@@ -37,13 +40,31 @@ pub struct Slot {
 }
 
 /// A vehicle's scenario-filtered series of slots.
-#[derive(Debug, Clone)]
+///
+/// The slots live behind an `Arc` shared by every clone and every
+/// [`truncated`](Self::truncated) prefix of the view; a view sees only
+/// the first `len` of them. Cloning or truncating costs one reference
+/// count, and the private mutators copy the visible prefix on write, so
+/// a view never changes what another view of the same series reads.
+#[derive(Clone)]
 pub struct VehicleView {
     /// The vehicle this view belongs to.
     pub vehicle_id: VehicleId,
     /// The scenario that filtered the series.
     pub scenario: Scenario,
-    slots: Vec<Slot>,
+    series: Arc<Vec<Slot>>,
+    /// Visible prefix of `series`; never exceeds its length.
+    len: usize,
+}
+
+impl fmt::Debug for VehicleView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VehicleView")
+            .field("vehicle_id", &self.vehicle_id)
+            .field("scenario", &self.scenario)
+            .field("slots", &self.slots())
+            .finish()
+    }
 }
 
 impl VehicleView {
@@ -95,51 +116,60 @@ impl VehicleView {
                 }
             })
             .collect();
+        Self::owning(vehicle.id, scenario, slots)
+    }
+
+    /// A view over all of `slots`, which it alone holds.
+    fn owning(vehicle_id: VehicleId, scenario: Scenario, slots: Vec<Slot>) -> VehicleView {
         VehicleView {
-            vehicle_id: vehicle.id,
+            vehicle_id,
             scenario,
-            slots,
+            len: slots.len(),
+            series: Arc::new(slots),
         }
     }
 
     /// Number of slots in the scenario series.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the view holds no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Borrow of slot `i`.
     pub fn slot(&self, i: usize) -> &Slot {
-        &self.slots[i]
+        &self.slots()[i]
     }
 
     /// All slots in series order.
     pub fn slots(&self) -> &[Slot] {
-        &self.slots
+        &self.series[..self.len]
     }
 
     /// The utilization-hours series over the slots.
     pub fn hours(&self) -> Vec<f64> {
-        self.slots.iter().map(|s| s.hours).collect()
+        self.slots().iter().map(|s| s.hours).collect()
     }
 
     /// Hours over a slot range (used for per-window ACF computation).
     pub fn hours_range(&self, from: usize, to: usize) -> Vec<f64> {
-        self.slots[from..to].iter().map(|s| s.hours).collect()
+        self.slots()[from..to].iter().map(|s| s.hours).collect()
     }
 
-    /// A copy of this view keeping only the first `n` slots (all of them
-    /// when `n >= len`). `vup-serve` uses this to replay the series "as
-    /// of" an earlier day when exercising cache invalidation.
+    /// This view restricted to its first `n` slots (all of them when
+    /// `n >= len`). The result shares this view's slots rather than
+    /// copying them — one reference-count bump — and exposes no slot at
+    /// or after `n`. `vup-serve` uses this to serve the series "as of"
+    /// an earlier day.
     pub fn truncated(&self, n: usize) -> VehicleView {
         VehicleView {
             vehicle_id: self.vehicle_id,
             scenario: self.scenario,
-            slots: self.slots[..n.min(self.slots.len())].to_vec(),
+            series: Arc::clone(&self.series),
+            len: n.min(self.len),
         }
     }
 
@@ -148,25 +178,35 @@ impl VehicleView {
     /// history, not the whole series, so this avoids cloning hundreds of
     /// slots per request. Relative indexing from the end is preserved.
     pub(crate) fn forecast_tail(&self, keep: usize, extra: usize) -> VehicleView {
-        let keep = keep.min(self.slots.len());
-        let mut slots = Vec::with_capacity(keep + extra);
-        slots.extend_from_slice(&self.slots[self.slots.len() - keep..]);
-        VehicleView {
-            vehicle_id: self.vehicle_id,
-            scenario: self.scenario,
-            slots,
+        let slots = self.slots();
+        let keep = keep.min(slots.len());
+        let mut tail = Vec::with_capacity(keep + extra);
+        tail.extend_from_slice(&slots[slots.len() - keep..]);
+        Self::owning(self.vehicle_id, self.scenario, tail)
+    }
+
+    /// The visible slots for writing. A series shared with another view
+    /// is first replaced by a private copy of the visible prefix (copy
+    /// on write); a private one drops any slots past the prefix.
+    fn slots_mut(&mut self) -> &mut Vec<Slot> {
+        if Arc::get_mut(&mut self.series).is_none() {
+            self.series = Arc::new(self.slots().to_vec());
         }
+        let series = Arc::get_mut(&mut self.series).expect("series is private");
+        series.truncate(self.len);
+        series
     }
 
     /// Appends a synthetic slot ([`crate::forecast`] extends the series
     /// with future days whose hours are filled in as they are predicted).
     pub(crate) fn push_slot(&mut self, slot: Slot) {
-        self.slots.push(slot);
+        self.slots_mut().push(slot);
+        self.len += 1;
     }
 
     /// Overwrites the hours of slot `i` (see [`Self::push_slot`]).
     pub(crate) fn set_hours(&mut self, i: usize, hours: f64) {
-        self.slots[i].hours = hours;
+        self.slots_mut()[i].hours = hours;
     }
 }
 
@@ -235,5 +275,48 @@ mod tests {
         let view = VehicleView::build(&fleet, VehicleId(0), Scenario::NextDay);
         let full = view.hours();
         assert_eq!(view.hours_range(10, 20), &full[10..20]);
+    }
+
+    #[test]
+    fn truncated_views_share_the_series_and_copy_it_on_write() {
+        let fleet = fleet();
+        let full = VehicleView::build(&fleet, VehicleId(4), Scenario::NextDay);
+        let before = full.slots().to_vec();
+        let n = 50;
+        let mut view = full.truncated(n);
+        assert_eq!(view.len(), n);
+        assert_eq!(view.slots(), &before[..n]);
+        assert_eq!(view.hours_range(0, n), full.hours_range(0, n));
+        assert!(
+            std::ptr::eq(view.slots().as_ptr(), full.slots().as_ptr()),
+            "a truncated view shares its parent's slots"
+        );
+        assert_eq!(full.truncated(full.len() + 10).len(), full.len());
+        assert_eq!(view.truncated(n + 10).len(), n, "a prefix cannot regrow");
+
+        // Writes go to a private copy of the visible prefix only.
+        let mut extra = before[n].clone();
+        extra.hours = -1.0;
+        view.push_slot(extra.clone());
+        view.set_hours(0, -2.0);
+        assert_eq!(view.len(), n + 1);
+        assert_eq!(view.slot(n), &extra);
+        assert_eq!(view.slot(0).hours, -2.0);
+        assert_eq!(&view.slots()[1..n], &before[1..n]);
+        assert_eq!(full.slots(), &before[..], "the shared series is untouched");
+
+        // A clone shares too, and writing through it leaves the original.
+        let mut clone = full.clone();
+        clone.set_hours(3, -3.0);
+        assert_eq!(clone.slot(3).hours, -3.0);
+        assert_eq!(full.slots(), &before[..]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn truncated_views_refuse_slots_past_their_end() {
+        let fleet = fleet();
+        let view = VehicleView::build(&fleet, VehicleId(0), Scenario::NextDay).truncated(10);
+        let _ = view.slot(10);
     }
 }

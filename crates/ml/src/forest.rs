@@ -150,6 +150,7 @@ impl Regressor for RandomForest {
             let boot = Matrix::from_vec(n, features.len(), boot_x)?;
             let mut tree = RegressionTree::new(tree_params.clone());
             tree.fit_structure(&boot, &boot_y)?;
+            tree.finish_fit();
             members.push((features, tree));
         }
         self.fitted = Some(FittedForest {

@@ -69,8 +69,12 @@ pub struct RegressionTree {
     params: TreeParams,
     nodes: Vec<Node>,
     n_features: usize,
-    /// Sample indices captured per leaf during the last fit, aligned with
-    /// leaf node ids — used by gradient boosting to recompute leaf values.
+    /// Sample indices captured per leaf by [`Self::fit_structure`],
+    /// aligned with leaf node ids — used by gradient boosting to
+    /// recompute leaf values. Fit state only: consumed by
+    /// [`Self::override_leaf_values`] and dropped by every finished fit,
+    /// so fitted (and persisted) trees carry it empty. The field stays so
+    /// that snapshots which still hold it decode.
     leaf_samples: Vec<(usize, Vec<usize>)>,
 }
 
@@ -206,13 +210,21 @@ impl RegressionTree {
 
     /// Replaces each leaf's value with `leaf_value(samples)` where
     /// `samples` are the training-sample indices routed to that leaf by the
-    /// last [`fit_structure`](Self::fit_structure) call.
+    /// last [`fit_structure`](Self::fit_structure) call. Consumes those
+    /// indices: a second call changes nothing.
     pub fn override_leaf_values(&mut self, leaf_value: impl Fn(&[usize]) -> f64) {
-        for (node_id, samples) in &self.leaf_samples {
-            if let Node::Leaf { value } = &mut self.nodes[*node_id] {
-                *value = leaf_value(samples);
+        for (node_id, samples) in std::mem::take(&mut self.leaf_samples) {
+            if let Node::Leaf { value } = &mut self.nodes[node_id] {
+                *value = leaf_value(&samples);
             }
         }
+    }
+
+    /// Drops the per-leaf sample indices of the last
+    /// [`fit_structure`](Self::fit_structure) call once nothing will
+    /// override the leaf values.
+    pub(crate) fn finish_fit(&mut self) {
+        self.leaf_samples = Vec::new();
     }
 
     /// Routes a feature row to its leaf and returns the leaf value.
@@ -278,7 +290,9 @@ fn partition<T: Copy>(slice: &mut [T], pred: impl Fn(&T) -> bool) -> usize {
 
 impl Regressor for RegressionTree {
     fn fit(&mut self, data: &Dataset) -> Result<()> {
-        self.fit_structure(data.x(), data.y())
+        self.fit_structure(data.x(), data.y())?;
+        self.finish_fit();
+        Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
@@ -444,5 +458,40 @@ mod tests {
         assert_eq!(tree.name(), "Tree");
         let preds = tree.predict(data.x()).unwrap();
         assert_eq!(preds, vec![1.0, 1.0, 5.0, 5.0]);
+    }
+
+    #[test]
+    fn finished_fits_drop_leaf_samples_and_old_encodings_still_decode() {
+        let x = matrix_1d(&[1.0, 2.0, 10.0, 11.0]);
+        let data = Dataset::new(x.clone(), vec![0.0, 0.0, 4.0, 4.0]).unwrap();
+        let mut fitted = RegressionTree::new(TreeParams::default());
+        fitted.fit(&data).unwrap();
+        assert!(
+            fitted.leaf_samples.is_empty(),
+            "a plain fit keeps no fit state"
+        );
+
+        let mut overridden = RegressionTree::new(TreeParams::default());
+        overridden.fit_structure(&x, data.y()).unwrap();
+        assert_eq!(overridden.leaf_samples.len(), 2);
+        overridden.override_leaf_values(|samples| samples.len() as f64);
+        assert!(
+            overridden.leaf_samples.is_empty(),
+            "the override consumes them"
+        );
+
+        // Trees persisted before the samples were dropped still carry
+        // them; they decode and predict as before.
+        let mut old = RegressionTree::new(TreeParams::default());
+        old.fit_structure(&x, data.y()).unwrap();
+        let json = serde_json::to_string(&old).unwrap();
+        assert!(json.contains("leaf_samples"));
+        let decoded: RegressionTree = serde_json::from_str(&json).unwrap();
+        for v in [0.0, 1.5, 6.0, 10.5, 20.0] {
+            assert_eq!(
+                decoded.predict_value(&[v]).unwrap().to_bits(),
+                fitted.predict_value(&[v]).unwrap().to_bits()
+            );
+        }
     }
 }

@@ -14,12 +14,12 @@
 //! the journal. Queue-full shedding happens earlier, in the acceptor
 //! ([`crate::server`]).
 //!
-//! Batches are serialized on an internal lock: intra-batch parallelism
-//! comes from the service's lock-free executor, and serialized batches
-//! keep the breaker/fault-injector batch-index stream deterministic —
-//! the property the end-to-end equivalence test pins (`DESIGN.md` §4).
-
-use std::sync::Mutex;
+//! The handler holds no lock around a batch. Workers call
+//! [`PredictionService::serve_batch`] concurrently, and the service
+//! admits each batch per vehicle: batches on disjoint vehicles run
+//! side by side, batches that share a vehicle run in batch-index order,
+//! so every outcome equals a serial run in index order — the property
+//! the end-to-end equivalence tests pin (`DESIGN.md` §4.4).
 
 use serde::{Deserialize, Serialize};
 use vup_fleetsim::fleet::VehicleId;
@@ -117,8 +117,6 @@ pub struct AppHandler<'f> {
     monitor: FleetMonitor,
     status: Arc<StatusBoard>,
     queue_capacity: usize,
-    /// Serializes batches (see module docs on determinism).
-    batch_lock: Mutex<()>,
     /// Largest accepted batch; larger bodies get 413.
     max_batch: usize,
     retry_after_secs: u32,
@@ -144,7 +142,6 @@ impl<'f> AppHandler<'f> {
             monitor,
             status,
             queue_capacity,
-            batch_lock: Mutex::new(()),
             max_batch: 1024,
             retry_after_secs: 1,
             tracer: Tracer::disabled(),
@@ -218,10 +215,7 @@ impl<'f> AppHandler<'f> {
                 horizon: r.horizon,
             })
             .collect();
-        let outcomes = {
-            let _serialized = self.batch_lock.lock().expect("batch lock");
-            self.service.serve_batch(&requests, wire.as_of)
-        };
+        let outcomes = self.service.serve_batch(&requests, wire.as_of);
         let journal = ServeJournal::from_outcomes(&outcomes)
             .with_recovery(self.service.store().recovery().cloned());
         let wire_outcomes: Vec<WireOutcome> = outcomes.iter().map(wire_outcome).collect();

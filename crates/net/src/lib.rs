@@ -20,9 +20,10 @@
 //!
 //! Determinism boundary: request *outcomes* (forecasts, provenance,
 //! breaker decisions) are deterministic for a given store state and
-//! batch sequence — batches are serialized through the handler's batch
-//! lock — while *timings and interleavings* (latencies, which client a
-//! shed hits) are not. The load generator's request stream is a pure
+//! batch sequence — the service runs batches that share a vehicle in
+//! batch-index order — while *timings and interleavings* (latencies,
+//! which client a shed hits, which of two concurrent batches gets the
+//! lower index) are not. The load generator's request stream is a pure
 //! function of its seed, so overload runs are reproducible in counts
 //! even though per-request latencies vary.
 

@@ -8,17 +8,19 @@
 //! tests run at full speed and behave identically at every thread count.
 //! Nothing on the serve path cancels work by wall clock.
 //!
-//! The [`CircuitBreaker`] is a pure state machine — no clocks, no
-//! metrics, no I/O — driven entirely by the service's coordinating
-//! thread. Cooldowns are measured in *batches*, the service's natural
-//! notion of time, which keeps open/half-open scheduling reproducible.
+//! The [`CircuitBreaker`] is a state machine — no clocks, no I/O —
+//! driven by the coordinating threads of the service's batches.
+//! Cooldowns are measured in *batches*, the service's natural notion of
+//! time, which keeps open/half-open scheduling reproducible. The breaker
+//! keeps one gauge itself, the open count, set under its own lock;
 //! `PredictionService` turns the returned [`BreakerTransition`]s into
-//! `vup_serve_breaker_*` metrics and trace events.
+//! the other `vup_serve_breaker_*` metrics and trace events.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use vup_ml::baseline::BaselineSpec;
+use vup_obs::Gauge;
 
 /// Splits the bits of `x` through the splitmix64 finalizer — the same
 /// construction the fault injector uses, shared here for deterministic
@@ -199,23 +201,34 @@ impl VehicleBreaker {
 /// Closed → Open after `failure_threshold` consecutive failed episodes;
 /// Open → HalfOpen once `cooldown_batches` batches have passed; a
 /// half-open probe episode closes the breaker on success and re-opens it
-/// on failure. All calls happen on the service's coordinating thread (a
-/// `Mutex` guards the map only for `Sync`-ness; it is never contended on
-/// the hot path), in vehicle-sorted order, so the transition stream is
-/// deterministic for every thread count.
+/// on failure. Calls come from the coordinating thread of each batch, in
+/// vehicle-sorted order. Batches on disjoint vehicles run concurrently,
+/// so the `Mutex` over the map can be contended; batches that share a
+/// vehicle run one after the other in batch-index order, so each
+/// vehicle's transition stream is deterministic for every thread count.
 #[derive(Default)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
     states: Mutex<HashMap<u32, VehicleBreaker>>,
+    /// Vehicles in the open state, set under `states`' lock on every
+    /// transition so concurrent batches cannot publish a stale count.
+    open: Gauge,
 }
 
 impl CircuitBreaker {
     /// A breaker with the given thresholds (disabled when
     /// `config.failure_threshold == 0`).
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
+        Self::observed(config, Gauge::default())
+    }
+
+    /// [`CircuitBreaker::new`], keeping `open` set to the number of
+    /// vehicles in the open state.
+    pub fn observed(config: BreakerConfig, open: Gauge) -> CircuitBreaker {
         CircuitBreaker {
             config,
             states: Mutex::new(HashMap::new()),
+            open,
         }
     }
 
@@ -239,6 +252,7 @@ impl CircuitBreaker {
             BreakerState::Open => {
                 if batch >= entry.open_until {
                     entry.state = BreakerState::HalfOpen;
+                    self.publish_open(&states);
                     (
                         BreakerDecision::AllowProbe,
                         Some(BreakerTransition {
@@ -262,7 +276,7 @@ impl CircuitBreaker {
         }
         let mut states = self.states.lock().expect("breaker lock");
         let entry = states.entry(vehicle).or_insert_with(VehicleBreaker::closed);
-        if success {
+        let transition = if success {
             let was = entry.state;
             *entry = VehicleBreaker::closed();
             (was != BreakerState::Closed).then_some(BreakerTransition {
@@ -297,7 +311,11 @@ impl CircuitBreaker {
                 // call anyway.
                 BreakerState::Open => None,
             }
+        };
+        if transition.is_some() {
+            self.publish_open(&states);
         }
+        transition
     }
 
     /// Current state of `vehicle`'s breaker (Closed if never seen).
@@ -311,13 +329,20 @@ impl CircuitBreaker {
 
     /// How many vehicles currently sit in the open state.
     pub fn open_count(&self) -> usize {
-        self.states
-            .lock()
-            .expect("breaker lock")
-            .values()
-            .filter(|b| b.state == BreakerState::Open)
-            .count()
+        count_open(&self.states.lock().expect("breaker lock"))
     }
+
+    /// Sets the open-count gauge; called with `states` still locked.
+    fn publish_open(&self, states: &HashMap<u32, VehicleBreaker>) {
+        self.open.set(count_open(states) as f64);
+    }
+}
+
+fn count_open(states: &HashMap<u32, VehicleBreaker>) -> usize {
+    states
+        .values()
+        .filter(|b| b.state == BreakerState::Open)
+        .count()
 }
 
 /// The full resilience configuration of a [`crate::PredictionService`].

@@ -33,6 +33,17 @@
 //! requests that never reach the model path (unknown vehicle, zero
 //! horizon, view-build panic).
 //!
+//! `serve_batch` may be called from many threads at once. A batch is
+//! *admitted* before it runs: it waits until no batch in flight holds
+//! any of its vehicles, then holds them all and takes the next batch
+//! index, in one critical section. Batches on disjoint vehicles run
+//! concurrently; batches that share a vehicle run one after the other
+//! in batch-index order. Every piece of state a batch touches — a
+//! vehicle's store entry, breaker state, fault stream, fit scratch — is
+//! keyed by vehicle, so each vehicle sees its batches in index order and
+//! every outcome equals that of a serial run in index order (`DESIGN.md`
+//! §4.4).
+//!
 //! Every outcome — served, degraded, skipped, or failed — carries a
 //! [`Provenance`] record
 //! answering "which model produced this number and why": the config
@@ -40,9 +51,8 @@
 //! window bounds, the selected lags, and per-stage wall-clock nanos.
 //! [`ServeJournal`] collects a batch's records for serialization.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
 use vup_core::forecast::forecast_horizon;
@@ -100,7 +110,7 @@ struct ServeMetrics {
     /// open breaker.
     breaker_rejections: Counter,
     /// `vup_serve_breaker_open` — vehicles whose breaker is currently
-    /// open.
+    /// open; the [`CircuitBreaker`] sets it.
     breaker_open: Gauge,
     /// `vup_serve_stage_nanos{stage="view_build"}` — per-vehicle scenario
     /// view construction (the feature-build stage).
@@ -530,6 +540,62 @@ impl ViewSource for FleetViews {
     }
 }
 
+/// Per-vehicle batch admission (see the module docs): the vehicles held
+/// by batches in flight, the next batch index, and the signal that some
+/// vehicles were released.
+#[derive(Default)]
+struct Admission {
+    state: Mutex<InFlight>,
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct InFlight {
+    held: HashSet<VehicleId>,
+    /// Monotone batch index — the breaker's and fault injector's notion
+    /// of time.
+    next_batch: u64,
+}
+
+impl Admission {
+    /// Waits until no batch in flight holds any of `vehicles`, then
+    /// holds them all and takes the next batch index. The returned guard
+    /// releases the vehicles when dropped, also while unwinding.
+    fn admit<'a>(&'a self, vehicles: &'a [VehicleId]) -> (u64, Admitted<'a>) {
+        let mut state = self.state.lock().expect("admission lock");
+        while vehicles.iter().any(|id| state.held.contains(id)) {
+            state = self.released.wait(state).expect("admission lock");
+        }
+        state.held.extend(vehicles.iter().copied());
+        let batch = state.next_batch;
+        state.next_batch += 1;
+        (
+            batch,
+            Admitted {
+                admission: self,
+                vehicles,
+            },
+        )
+    }
+}
+
+/// The vehicles an admitted batch holds.
+struct Admitted<'a> {
+    admission: &'a Admission,
+    vehicles: &'a [VehicleId],
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut state = self.admission.state.lock().expect("admission lock");
+        for id in self.vehicles {
+            state.held.remove(id);
+        }
+        drop(state);
+        self.admission.released.notify_all();
+    }
+}
+
 /// Batched per-vehicle prediction over one fleet.
 pub struct PredictionService<'f> {
     fleet: &'f Fleet,
@@ -544,9 +610,7 @@ pub struct PredictionService<'f> {
     resilience: ResilienceConfig,
     faults: FaultInjector,
     breaker: CircuitBreaker,
-    /// Monotone batch index — the breaker's and fault injector's notion
-    /// of time.
-    batch_counter: AtomicU64,
+    admission: Admission,
     /// Memoized full views, populated only when the source
     /// [`ViewSource::is_static`]; `as_of` truncation happens per batch on
     /// top of the cached full view.
@@ -596,7 +660,7 @@ impl<'f> PredictionService<'f> {
             resilience: ResilienceConfig::default(),
             faults: FaultInjector::default(),
             breaker: CircuitBreaker::default(),
-            batch_counter: AtomicU64::new(0),
+            admission: Admission::default(),
             view_cache: RwLock::new(HashMap::new()),
             fit_scratch: Mutex::new(HashMap::new()),
         })
@@ -610,7 +674,8 @@ impl<'f> PredictionService<'f> {
     /// The default config reproduces the legacy single-attempt
     /// behaviour exactly.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> PredictionService<'f> {
-        self.breaker = CircuitBreaker::new(resilience.breaker);
+        self.breaker =
+            CircuitBreaker::observed(resilience.breaker, self.metrics.breaker_open.clone());
         self.resilience = resilience;
         self
     }
@@ -684,24 +749,24 @@ impl<'f> PredictionService<'f> {
     /// observed series). Models are cached across calls: a vehicle whose
     /// cached model is still within `retrain_every` slots of the series
     /// end is served without retraining.
+    ///
+    /// Safe to call from many threads: the batch first waits for every
+    /// batch in flight that shares one of its vehicles (see the module
+    /// docs), and runs alongside the rest.
     pub fn serve_batch(
         &self,
         requests: &[BatchRequest],
         as_of: Option<usize>,
     ) -> Vec<ServeOutcome> {
-        let batch = self.batch_counter.fetch_add(1, Ordering::Relaxed);
+        let vehicles = distinct_vehicles(requests);
+        let (batch, _admitted) = self.admission.admit(&vehicles);
         self.metrics.batches.inc();
         self.metrics.requests.add(requests.len() as u64);
         let mut batch_span = self.tracer.root("serve_batch");
         batch_span.arg("requests", requests.len());
         batch_span.arg("batch", batch);
 
-        let prepared = self.prepare(
-            &distinct_vehicles(requests),
-            as_of,
-            &batch_span.ctx(),
-            batch,
-        );
+        let prepared = self.prepare(&vehicles, as_of, &batch_span.ctx(), batch);
         let outcomes = self.serve_prepared(requests, &prepared, &batch_span.ctx());
 
         // One counting pass on the coordinating thread; every request
@@ -971,7 +1036,7 @@ impl<'f> PredictionService<'f> {
                 });
                 if let Some(view) = &view {
                     // Wall-free workload weight for the profile layer:
-                    // slots materialized, in bytes.
+                    // the slots the view exposes, in bytes.
                     span.add_bytes(
                         (view.len() * std::mem::size_of::<vup_core::view::Slot>()) as u64,
                     );
@@ -1193,9 +1258,6 @@ impl<'f> PredictionService<'f> {
             };
             prepared.insert(id, entry);
         }
-        self.metrics
-            .breaker_open
-            .set(self.breaker.open_count() as f64);
         prepare_span.arg("retrained", retrains);
         prepared
     }
@@ -2212,5 +2274,191 @@ mod tests {
         assert_eq!(ellipsize("№№№№", 4), "№№№№");
         assert_eq!(ellipsize("", 0), "");
         assert_eq!(ellipsize("ab", 0), "…");
+    }
+
+    /// A live view source that parks every build of one vehicle until
+    /// [`ParkingViews::release`], and logs when each build starts and
+    /// ends.
+    struct ParkingViews {
+        parked: VehicleId,
+        released: Mutex<bool>,
+        opened: Condvar,
+        log: Mutex<Vec<(VehicleId, bool)>>,
+    }
+
+    impl ParkingViews {
+        fn new(parked: u32) -> ParkingViews {
+            ParkingViews {
+                parked: VehicleId(parked),
+                released: Mutex::new(false),
+                opened: Condvar::new(),
+                log: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn release(&self) {
+            *self.released.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+
+        /// Builds of `id` started so far.
+        fn starts(&self, id: u32) -> usize {
+            let log = self.log.lock().unwrap();
+            log.iter()
+                .filter(|&&(v, start)| v == VehicleId(id) && start)
+                .count()
+        }
+
+        fn wait_for_start(&self, id: u32) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while self.starts(id) == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "vehicle {id} never built"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl ViewSource for ParkingViews {
+        fn build_view(
+            &self,
+            fleet: &Fleet,
+            id: VehicleId,
+            scenario: Scenario,
+        ) -> Option<VehicleView> {
+            self.log.lock().unwrap().push((id, true));
+            if id == self.parked {
+                let mut released = self.released.lock().unwrap();
+                while !*released {
+                    released = self.opened.wait(released).unwrap();
+                }
+            }
+            let view = FleetViews.build_view(fleet, id, scenario);
+            self.log.lock().unwrap().push((id, false));
+            view
+        }
+    }
+
+    #[test]
+    fn batches_wait_only_for_batches_that_share_a_vehicle() {
+        let fleet = Fleet::generate(FleetConfig::small(4, 41));
+        let views = Arc::new(ParkingViews::new(1));
+        let service = PredictionService::new(&fleet, fast_config(), 1)
+            .unwrap()
+            .with_views(Arc::clone(&views) as Arc<dyn ViewSource>);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| service.serve_batch(&requests(&[1], 1), None));
+            views.wait_for_start(1);
+
+            // Vehicle 1's batch is parked mid-build; one on vehicle 0
+            // runs to completion beside it. (Were it to wait instead, the
+            // test would hang here, not fail.)
+            let other = service.serve_batch(&requests(&[0], 1), None);
+            assert!(
+                matches!(&other[0], ServeOutcome::RetrainedThenServed(_)),
+                "{other:?}"
+            );
+
+            // A second batch on vehicle 1 is not admitted — none of its
+            // vehicles reaches the view source — until the first is done.
+            let second = scope.spawn(|| service.serve_batch(&requests(&[2, 1], 1), None));
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let early = (views.starts(1), views.starts(2));
+            views.release();
+            assert_eq!(early.0, 1, "the second batch built vehicle 1 early");
+            assert_eq!(early.1, 0, "the second batch was admitted in part");
+            let first = first.join().unwrap();
+            let second = second.join().unwrap();
+            assert!(
+                matches!(&first[0], ServeOutcome::RetrainedThenServed(_)),
+                "{first:?}"
+            );
+            assert!(second[1].is_cache_hit(), "{second:?}");
+        });
+        let log = views.log.lock().unwrap();
+        let one: Vec<bool> = log
+            .iter()
+            .filter(|(id, _)| *id == VehicleId(1))
+            .map(|&(_, start)| start)
+            .collect();
+        assert_eq!(
+            one,
+            [true, false, true, false],
+            "builds of vehicle 1 overlapped"
+        );
+        assert!(service.admission.state.lock().unwrap().held.is_empty());
+    }
+
+    /// A disk whose writes panic while `armed` is set.
+    struct PanickingWrites(Arc<std::sync::atomic::AtomicBool>);
+
+    impl crate::persist::StorageBackend for PanickingWrites {
+        fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+            crate::DiskBackend.read(path)
+        }
+        fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+            assert!(
+                !self.0.load(std::sync::atomic::Ordering::SeqCst),
+                "injected write panic"
+            );
+            crate::DiskBackend.write(path, bytes)
+        }
+        fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+            crate::DiskBackend.rename(from, to)
+        }
+        fn remove(&self, path: &std::path::Path) -> std::io::Result<()> {
+            crate::DiskBackend.remove(path)
+        }
+        fn list(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+            crate::DiskBackend.list(dir)
+        }
+        fn create_dir_all(&self, dir: &std::path::Path) -> std::io::Result<()> {
+            crate::DiskBackend.create_dir_all(dir)
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_coordinating_path_releases_the_batch_vehicles() {
+        let dir = std::env::temp_dir().join(format!("vup-serve-admit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fleet = Fleet::generate(FleetConfig::small(2, 42));
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let store = ModelStore::open_with(
+            Box::new(PanickingWrites(Arc::clone(&armed))),
+            &dir,
+            &Registry::disabled(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        let service = PredictionService::new(&fleet, fast_config(), 1)
+            .unwrap()
+            .with_store(store);
+        let batch = requests(&[0, 1], 1);
+
+        // The write-through persist of the first retrained model panics
+        // on the coordinating thread, out of `serve_batch`.
+        armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.serve_batch(&batch, None)
+        }));
+        assert!(panicked.is_err(), "the persist panic must unwind");
+        assert!(
+            service.admission.state.lock().unwrap().held.is_empty(),
+            "an unwound batch still holds its vehicles"
+        );
+
+        // Both vehicles are admitted again; vehicle 0's model reached
+        // the cache before its persist panicked.
+        armed.store(false, std::sync::atomic::Ordering::SeqCst);
+        let outcomes = service.serve_batch(&batch, None);
+        assert!(outcomes[0].is_cache_hit(), "{:?}", outcomes[0]);
+        assert!(
+            matches!(&outcomes[1], ServeOutcome::RetrainedThenServed(_)),
+            "{:?}",
+            outcomes[1]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

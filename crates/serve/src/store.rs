@@ -281,13 +281,12 @@ impl ModelStore {
             trained_at,
         });
         let fingerprint = Self::fingerprint(config);
-        let live = {
+        {
             let mut entries = self.entries.write().expect("store lock");
             entries.insert((vehicle, fingerprint), Arc::clone(&entry));
-            servable(&entries)
-        };
+            self.metrics.models.set(servable(&entries) as f64);
+        }
         self.metrics.retrains.inc();
-        self.metrics.models.set(live as f64);
         if let Some(snapshots) = &self.persist {
             snapshots.persist(vehicle, fingerprint, trained_at, &entry.predictor, ctx);
         }
@@ -307,7 +306,7 @@ impl ModelStore {
     /// gauge drops with it; the next insert for the key restores both.
     pub fn poison(&self, vehicle: VehicleId, config: &PipelineConfig) -> bool {
         let key = (vehicle, Self::fingerprint(config));
-        let (poisoned, live) = {
+        let poisoned = {
             let mut entries = self.entries.write().expect("store lock");
             let poisoned = match entries.get_mut(&key) {
                 None => false,
@@ -319,11 +318,13 @@ impl ModelStore {
                     true
                 }
             };
-            (poisoned, servable(&entries))
+            if poisoned {
+                self.metrics.models.set(servable(&entries) as f64);
+            }
+            poisoned
         };
         if poisoned {
             self.metrics.poisons.inc();
-            self.metrics.models.set(live as f64);
         }
         poisoned
     }
@@ -332,7 +333,7 @@ impl ModelStore {
     /// including their on-disk snapshots on a durable store; returns
     /// how many entries were removed.
     pub fn invalidate(&self, vehicle: VehicleId) -> usize {
-        let (dropped, live) = {
+        let dropped = {
             let mut entries = self.entries.write().expect("store lock");
             let mut dropped = Vec::new();
             entries.retain(|&(v, fingerprint), _| {
@@ -343,10 +344,10 @@ impl ModelStore {
                     true
                 }
             });
-            (dropped, servable(&entries))
+            self.metrics.models.set(servable(&entries) as f64);
+            dropped
         };
         self.metrics.invalidations.add(dropped.len() as u64);
-        self.metrics.models.set(live as f64);
         if let Some(snapshots) = &self.persist {
             for fingerprint in &dropped {
                 snapshots.remove_entry(vehicle, *fingerprint);
@@ -362,10 +363,10 @@ impl ModelStore {
             let mut entries = self.entries.write().expect("store lock");
             let keys = entries.keys().copied().collect();
             entries.clear();
+            self.metrics.models.set(0.0);
             keys
         };
         self.metrics.invalidations.add(dropped.len() as u64);
-        self.metrics.models.set(0.0);
         if let Some(snapshots) = &self.persist {
             for (vehicle, fingerprint) in &dropped {
                 snapshots.remove_entry(*vehicle, *fingerprint);

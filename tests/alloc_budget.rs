@@ -11,6 +11,9 @@
 //!   flat while fits keep happening;
 //! - a fully warm cache-hit batch allocates strictly less than the cold
 //!   batch that populated it, and identically from batch to batch;
+//! - a warm cache-hit batch allocates the same bytes however long the
+//!   served history is: serving "as of" a day shares the memoized series
+//!   instead of copying it;
 //! - arena-built datasets are *exactly* (bit-for-bit) what the
 //!   per-record builder produces, across arbitrary window slides
 //!   (proptest);
@@ -30,7 +33,8 @@ use vehicle_usage_prediction::serve::PredictionService;
 
 use proptest::prelude::*;
 
-/// `System`, with a per-thread counter on every allocation entry point.
+/// `System`, with per-thread counters of the calls to every allocation
+/// entry point and of the bytes they asked for.
 struct CountingAlloc;
 
 thread_local! {
@@ -41,15 +45,18 @@ thread_local! {
     /// `const` initializer and drop-free `Cell` keep the access itself
     /// allocation-free.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a realloc counts its new size).
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
+    ALLOC_BYTES.with(|total| total.set(total.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -58,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -69,6 +76,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
     ALLOC_CALLS.with(Cell::get)
+}
+
+/// Bytes the calling thread's allocations have asked for so far.
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
 }
 
 fn fast_config() -> PipelineConfig {
@@ -169,6 +181,31 @@ fn warm_cache_hit_batches_allocate_less_than_cold_and_steadily() {
     assert_eq!(
         warm2, warm3,
         "consecutive fully-warm batches must have identical allocation counts"
+    );
+}
+
+#[test]
+fn warm_cache_hit_batches_allocate_the_same_bytes_however_long_the_history() {
+    let fleet = Fleet::generate(FleetConfig::small(8, 99));
+    let service = PredictionService::new(&fleet, fast_config(), 1).unwrap();
+    let reqs = requests(&[0, 1, 2, 3, 4, 5, 6, 7], 3);
+    let warm_bytes = |as_of: usize| {
+        service.serve_batch(&reqs, Some(as_of)); // (re)trains
+        service.serve_batch(&reqs, Some(as_of)); // first warm batch
+        let before = alloc_bytes();
+        let outcomes = service.serve_batch(&reqs, Some(as_of));
+        let bytes = alloc_bytes() - before;
+        assert!(
+            outcomes.iter().all(|o| o.is_cache_hit()),
+            "as_of {as_of}: {outcomes:?}"
+        );
+        bytes
+    };
+    let (short, long) = (warm_bytes(200), warm_bytes(400));
+    assert_eq!(
+        short, long,
+        "a warm hit batch allocated {short} bytes as of slot 200 but {long} as of slot 400: \
+         serving copies history"
     );
 }
 

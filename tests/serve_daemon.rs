@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use vehicle_usage_prediction::net::http::read_response;
@@ -122,11 +123,29 @@ const BATCH_BODY: &str = r#"{"requests":[{"vehicle_id":0,"horizon":2},{"vehicle_
 /// The CLI run the daemon must agree with: same fleet, same store, same
 /// batch. Returns the journal it wrote.
 fn cli_reference_journal(store: &std::path::Path, journal: &std::path::Path) -> ServeJournal {
+    let store = store.display().to_string();
+    cli_journal(
+        &[
+            "--ids",
+            "0,1,2",
+            "--horizon",
+            "2",
+            "--repeat",
+            "1",
+            "--store-dir",
+            &store,
+        ],
+        journal,
+    )
+}
+
+/// Runs `vup serve-batch` on the daemon's fleet and model with `args`,
+/// and returns the journal of its last batch, written to `journal`.
+fn cli_journal(args: &[&str], journal: &std::path::Path) -> ServeJournal {
     let output = vup()
         .args(["serve-batch", "--vehicles", "6", "--seed", "7"])
-        .args(["--model", "linear", "--ids", "0,1,2", "--horizon", "2"])
-        .args(["--repeat", "1"])
-        .args(["--store-dir", &store.display().to_string()])
+        .args(["--model", "linear"])
+        .args(args)
         .args(["--journal", &journal.display().to_string()])
         .output()
         .expect("run serve-batch");
@@ -194,6 +213,82 @@ fn daemon_journal_is_bit_identical_to_the_cli_path_across_thread_counts() {
         "forecasts must not depend on the thread count"
     );
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Batches on disjoint vehicles run side by side in the daemon, and
+/// each client still sees exactly what a serial CLI run of its own
+/// request sequence journals: batch `k` of a client equals the last
+/// batch of `serve-batch --repeat k`.
+#[test]
+fn concurrent_keep_alive_clients_on_disjoint_vehicles_match_their_cli_runs() {
+    const ROUNDS: usize = 3;
+    let clients: [(&str, usize); 2] = [("0,1", 2), ("2,3,4", 1)];
+    let daemon = Daemon::spawn(&["--threads", "2", "--workers", "2", "--queue", "8"]);
+    let barrier = Barrier::new(clients.len());
+    let journals: Vec<Vec<ServeJournal>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter()
+            .map(|&(ids, horizon)| {
+                let mut stream = daemon.connect();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let requests: Vec<String> = ids
+                        .split(',')
+                        .map(|id| format!(r#"{{"vehicle_id":{id},"horizon":{horizon}}}"#))
+                        .collect();
+                    let body = format!(r#"{{"requests":[{}],"as_of":null}}"#, requests.join(","));
+                    let request = format!(
+                        "POST /v1/predict-batch HTTP/1.1\r\nHost: t\r\n\
+                         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    );
+                    barrier.wait();
+                    (0..ROUNDS)
+                        .map(|round| {
+                            stream.write_all(request.as_bytes()).expect("write request");
+                            let response = read_response(&mut stream).expect("read response");
+                            let text = response.body_text();
+                            assert_eq!(response.status, 200, "client {ids} round {round}: {text}");
+                            let wire: WireResponse =
+                                serde_json::from_str(&text).expect("parse wire response");
+                            wire.journal
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("client thread"))
+            .collect()
+    });
+    daemon.terminate();
+
+    let dir = temp_dir("concurrent");
+    let journal_path = dir.join("reference.journal.json");
+    for (&(ids, horizon), journals) in clients.iter().zip(&journals) {
+        let horizon = horizon.to_string();
+        for (round, journal) in journals.iter().enumerate() {
+            let repeat = (round + 1).to_string();
+            let args = ["--ids", ids, "--horizon", &horizon, "--repeat", &repeat];
+            let reference = cli_journal(&args, &journal_path);
+            assert_eq!(
+                journal.records, reference.records,
+                "client {ids}: batch {repeat} diverged from its serial CLI run"
+            );
+            let expected = if round == 0 {
+                ServePath::RetrainedAbsent
+            } else {
+                ServePath::CacheHit
+            };
+            assert!(
+                journal.records.iter().all(|r| r.path == expected),
+                "client {ids} batch {repeat}: {:?}",
+                journal.records.iter().map(|r| r.path).collect::<Vec<_>>()
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
