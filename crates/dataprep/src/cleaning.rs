@@ -4,7 +4,9 @@
 //! duplicated uploads, physically impossible glitch values, and missing
 //! channel values. Glitches are nulled by per-channel validity ranges and
 //! missing values are imputed by within-day linear interpolation (falling
-//! back to the nearest observed value at the edges).
+//! back to the nearest observed value at the edges). The pass runs in
+//! place, as the first half of
+//! [`crate::aggregate::clean_and_aggregate_day`].
 
 use vup_fleetsim::canbus::RawReport;
 
@@ -61,114 +63,97 @@ pub struct CleaningStats {
     pub values_imputed: usize,
 }
 
-/// Cleans one day's report stream in three passes: dedup (same minute),
-/// range-rule nulling, and within-day interpolation of missing channel
-/// values. Reports are also sorted by minute (uploads can arrive
-/// out of order).
-pub fn clean_day(
-    mut reports: Vec<RawReport>,
+/// Cleans one day's report stream in place: sorts it by minute
+/// (uploads can arrive out of order), drops same-minute duplicates
+/// (keeping the first), then channel by channel nulls out-of-range
+/// values and fills missing ones by within-day interpolation. Adds what
+/// it changed to `stats`. Allocates nothing.
+pub(crate) fn clean_in_place(
+    reports: &mut Vec<RawReport>,
     rules: &ValidityRules,
-) -> (Vec<RawReport>, CleaningStats) {
-    let mut stats = CleaningStats::default();
-    if reports.is_empty() {
-        return (reports, stats);
-    }
-
-    // Sort by minute and remove exact-minute duplicates (keep the first).
-    reports.sort_by_key(|r| r.minute);
+    stats: &mut CleaningStats,
+) {
+    sort_by_minute(reports);
     let before = reports.len();
     reports.dedup_by_key(|r| r.minute);
-    stats.duplicates_removed = before - reports.len();
+    stats.duplicates_removed += before - reports.len();
 
-    // Null out-of-range values.
-    macro_rules! apply_rule {
-        ($field:ident) => {
-            for r in reports.iter_mut() {
-                if let Some(v) = r.$field {
-                    let (lo, hi) = rules.$field;
-                    if !(lo..=hi).contains(&v) || !v.is_finite() {
-                        r.$field = None;
-                        stats.glitches_nulled += 1;
-                    }
-                }
-            }
-        };
+    macro_rules! clean_channels {
+        ($($field:ident),*) => {$(
+            clean_channel(reports, |r| &mut r.$field, rules.$field, stats);
+        )*};
     }
-    apply_rule!(fuel_level_pct);
-    apply_rule!(engine_rpm);
-    apply_rule!(oil_pressure_kpa);
-    apply_rule!(coolant_temp_c);
-    apply_rule!(fuel_rate_lph);
-    apply_rule!(speed_kmh);
-    apply_rule!(load_pct);
-    apply_rule!(digging_pressure_kpa);
-    apply_rule!(pump_drive_temp_c);
-    apply_rule!(oil_tank_temp_c);
-
-    // Interpolate missing values within the day, channel by channel.
-    macro_rules! impute {
-        ($field:ident) => {{
-            let series: Vec<Option<f64>> = reports.iter().map(|r| r.$field).collect();
-            // Only impute channels the vehicle actually reports (skip
-            // all-None channels like digging pressure on a compactor).
-            if series.iter().any(Option::is_some) {
-                let filled = interpolate(&series);
-                for (r, v) in reports.iter_mut().zip(filled) {
-                    if r.$field.is_none() && v.is_some() {
-                        r.$field = v;
-                        stats.values_imputed += 1;
-                    }
-                }
-            }
-        }};
-    }
-    impute!(fuel_level_pct);
-    impute!(engine_rpm);
-    impute!(oil_pressure_kpa);
-    impute!(coolant_temp_c);
-    impute!(fuel_rate_lph);
-    impute!(speed_kmh);
-    impute!(load_pct);
-    impute!(digging_pressure_kpa);
-    impute!(pump_drive_temp_c);
-    impute!(oil_tank_temp_c);
-
-    (reports, stats)
+    clean_channels!(
+        fuel_level_pct,
+        engine_rpm,
+        oil_pressure_kpa,
+        coolant_temp_c,
+        fuel_rate_lph,
+        speed_kmh,
+        load_pct,
+        digging_pressure_kpa,
+        pump_drive_temp_c,
+        oil_tank_temp_c
+    );
 }
 
-/// Linear interpolation over `None` gaps; edge gaps take the nearest
-/// observed value. All-`None` input comes back unchanged.
-pub fn interpolate(series: &[Option<f64>]) -> Vec<Option<f64>> {
-    let n = series.len();
-    let mut out = series.to_vec();
-    let observed: Vec<usize> = (0..n).filter(|&i| series[i].is_some()).collect();
-    if observed.is_empty() {
-        return out;
+/// Stable in-place insertion sort by minute: each out-of-place report
+/// is rotated back behind the last report of an equal or earlier
+/// minute. It costs one comparison per report plus one move per
+/// inversion; upload streams are nearly sorted, so that is close to
+/// linear, and unlike `sort_by_key` it needs no buffer.
+fn sort_by_minute(reports: &mut [RawReport]) {
+    for i in 1..reports.len() {
+        let minute = reports[i].minute;
+        if reports[i - 1].minute > minute {
+            let at = reports[..i].partition_point(|r| r.minute <= minute);
+            reports[at..=i].rotate_right(1);
+        }
     }
-    // Leading edge.
-    let first = observed[0];
-    for slot in out.iter_mut().take(first) {
-        *slot = series[first];
-    }
-    // Trailing edge.
-    let last = *observed.last().expect("non-empty");
-    for slot in out.iter_mut().skip(last + 1) {
-        *slot = series[last];
-    }
-    // Interior gaps.
-    for w in observed.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if b - a <= 1 {
+}
+
+/// One channel's cleaning in a single walk: a value outside `(lo, hi)`
+/// or non-finite is nulled; each `None` gap between two observed
+/// values is filled linearly, and the gaps before the first and after
+/// the last observed value take that value. A channel with no observed
+/// value stays all-`None` (a sensor the vehicle does not have).
+fn clean_channel(
+    reports: &mut [RawReport],
+    field: fn(&mut RawReport) -> &mut Option<f64>,
+    (lo, hi): (f64, f64),
+    stats: &mut CleaningStats,
+) {
+    let mut last: Option<(usize, f64)> = None;
+    for i in 0..reports.len() {
+        let slot = field(&mut reports[i]);
+        let Some(v) = *slot else { continue };
+        if !(lo..=hi).contains(&v) || !v.is_finite() {
+            *slot = None;
+            stats.glitches_nulled += 1;
             continue;
         }
-        let va = series[a].expect("observed");
-        let vb = series[b].expect("observed");
-        for (offset, slot) in out[(a + 1)..b].iter_mut().enumerate() {
-            let t = (offset + 1) as f64 / (b - a) as f64;
-            *slot = Some(va + (vb - va) * t);
+        match last {
+            None => {
+                reports[..i].iter_mut().for_each(|r| *field(r) = Some(v));
+                stats.values_imputed += i;
+            }
+            Some((a, va)) => {
+                let gap = (i - a) as f64;
+                for (offset, r) in reports[a + 1..i].iter_mut().enumerate() {
+                    let t = (offset + 1) as f64 / gap;
+                    *field(r) = Some(va + (v - va) * t);
+                }
+                stats.values_imputed += i - a - 1;
+            }
         }
+        last = Some((i, v));
     }
-    out
+    if let Some((a, va)) = last {
+        reports[a + 1..]
+            .iter_mut()
+            .for_each(|r| *field(r) = Some(va));
+        stats.values_imputed += reports.len() - a - 1;
+    }
 }
 
 #[cfg(test)]
@@ -193,21 +178,46 @@ mod tests {
         }
     }
 
+    fn clean_day(
+        mut reports: Vec<RawReport>,
+        rules: &ValidityRules,
+    ) -> (Vec<RawReport>, CleaningStats) {
+        let mut stats = CleaningStats::default();
+        clean_in_place(&mut reports, rules, &mut stats);
+        (reports, stats)
+    }
+
     #[test]
-    fn interpolation_basics() {
+    fn gaps_are_interpolated_and_edges_take_the_nearest_value() {
+        let rpm = [None, Some(1000.0), None, None, Some(1300.0), None];
+        let reports = (0..6)
+            .map(|i| report(10 * (i as u16 + 1), rpm[i]))
+            .collect();
+        let (clean, stats) = clean_day(reports, &ValidityRules::default());
+        let got: Vec<Option<f64>> = clean.iter().map(|r| r.engine_rpm).collect();
         assert_eq!(
-            interpolate(&[Some(1.0), None, Some(3.0)]),
-            vec![Some(1.0), Some(2.0), Some(3.0)]
+            got,
+            [1000.0, 1000.0, 1100.0, 1200.0, 1300.0, 1300.0].map(Some)
         );
-        assert_eq!(
-            interpolate(&[None, Some(4.0), None]),
-            vec![Some(4.0), Some(4.0), Some(4.0)]
-        );
-        assert_eq!(interpolate(&[None, None]), vec![None, None]);
-        assert_eq!(
-            interpolate(&[Some(0.0), None, None, Some(3.0)]),
-            vec![Some(0.0), Some(1.0), Some(2.0), Some(3.0)]
-        );
+        assert_eq!(stats.values_imputed, 4);
+    }
+
+    #[test]
+    fn out_of_order_minutes_sort_stably() {
+        let mut late = report(10, Some(1100.0));
+        late.fuel_level_pct = Some(40.0);
+        let reports = vec![
+            report(30, Some(1300.0)),
+            report(10, Some(1000.0)),
+            report(20, Some(1200.0)),
+            late,
+        ];
+        let (clean, stats) = clean_day(reports, &ValidityRules::default());
+        let minutes: Vec<u16> = clean.iter().map(|r| r.minute).collect();
+        assert_eq!(minutes, [10, 20, 30]);
+        // The first upload of minute 10 survives the dedup.
+        assert_eq!(clean[0].engine_rpm, Some(1000.0));
+        assert_eq!(stats.duplicates_removed, 1);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!
 //! Step 5 produces a small in-memory columnar table ([`table::Table`]):
 //! typed columns with bit-packed null bitmaps, profiled by [`describe`]
-//! and exported by [`csv::to_csv`]. The other steps ([`cleaning`],
-//! [`aggregate`], [`enrich`], orchestrated by [`pipeline`]) feed it.
+//! and exported by [`csv::to_csv`]. The other steps ([`cleaning`] and
+//! [`aggregate`], which run as one in-place pass per vehicle-day, and
+//! [`enrich`], orchestrated by [`pipeline`]) feed it.
 
 #![warn(missing_docs)]
 
@@ -30,6 +31,8 @@ pub mod describe;
 pub mod enrich;
 mod error;
 pub mod pipeline;
+#[cfg(test)]
+mod reference;
 pub mod schema;
 pub mod table;
 pub mod value;

@@ -11,8 +11,8 @@ use vup_fleetsim::dropout::DropoutConfig;
 use vup_fleetsim::fleet::{Fleet, VehicleId};
 use vup_fleetsim::generator::{self, DailyRecord};
 
-use crate::aggregate::aggregate_day;
-use crate::cleaning::{clean_day, CleaningStats, ValidityRules};
+use crate::aggregate::clean_and_aggregate_day;
+use crate::cleaning::{CleaningStats, ValidityRules};
 use crate::enrich::{day_context, encode_context, CONTEXT_FEATURE_NAMES};
 use crate::schema::{DataType, Field, Schema};
 use crate::table::Table;
@@ -130,12 +130,13 @@ pub fn prepare_vehicle_days(
     let mut total_stats = CleaningStats::default();
     for i in 0..n_days {
         let date = start.plus_days(i as i64);
-        let raw = generator::generate_day_raw_reports(fleet, id, date, dropout);
-        let (clean, stats) = clean_day(raw, &rules);
-        total_stats.duplicates_removed += stats.duplicates_removed;
-        total_stats.glitches_nulled += stats.glitches_nulled;
-        total_stats.values_imputed += stats.values_imputed;
-        records.push(aggregate_day(date, &clean));
+        let mut raw = generator::generate_day_raw_reports(fleet, id, date, dropout);
+        records.push(clean_and_aggregate_day(
+            date,
+            &mut raw,
+            &rules,
+            &mut total_stats,
+        ));
     }
     let table = daily_records_to_table(fleet, id, &records)?;
     Ok(PreparedVehicle {

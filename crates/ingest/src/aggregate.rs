@@ -2,9 +2,10 @@
 //!
 //! The batch pipeline regenerates a vehicle's whole history to build a
 //! view; the streaming path cannot afford that. [`FleetAggregator`]
-//! folds raw 10-minute reports into per-day buffers as they arrive and
-//! *seals* a day once the log's watermark moves past it — running
-//! [`vup_dataprep::aggregate::aggregate_day`] exactly once per
+//! buffers raw 10-minute reports as they arrive and *seals* a day once
+//! the log's watermark moves past it — running
+//! [`vup_dataprep::aggregate::clean_and_aggregate_day`], the same
+//! clean-and-aggregate pass as the batch pipeline, exactly once per
 //! (vehicle, day) and appending the resulting [`DailyRecord`] to that
 //! vehicle's shared history. Sealed days are immutable: a record for an
 //! already-sealed day is counted as out-of-order and dropped, never
@@ -20,8 +21,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use vup_core::Scenario;
-use vup_dataprep::aggregate::aggregate_day;
-use vup_dataprep::cleaning::{clean_day, CleaningStats, ValidityRules};
+use vup_dataprep::aggregate::clean_and_aggregate_day;
+use vup_dataprep::cleaning::{CleaningStats, ValidityRules};
 use vup_fleetsim::calendar::Date;
 use vup_fleetsim::canbus::RawReport;
 use vup_fleetsim::generator::DailyRecord;
@@ -47,6 +48,16 @@ pub struct SealedSlot {
     pub hours: f64,
 }
 
+/// What the aggregator keeps per known vehicle.
+struct VehicleState {
+    /// Scenario slots sealed so far.
+    slots: usize,
+    /// Raw reports of the open day. Only one day is ever open (see
+    /// [`FleetAggregator::observe`]), so this one buffer is reused day
+    /// after day and stops allocating once it has held a full day.
+    open_day: Vec<RawReport>,
+}
+
 /// Folds log records into sealed per-vehicle daily histories.
 pub struct FleetAggregator {
     /// First day of the observation period (days before it are never
@@ -57,14 +68,11 @@ pub struct FleetAggregator {
     watermark: i64,
     /// Last sealed day (`start_day - 1` when nothing is sealed yet).
     sealed_through: i64,
-    /// Unsealed raw reports, keyed by (day, vehicle) so sealing walks
-    /// days in order and vehicles deterministically within a day.
-    buffers: BTreeMap<(i64, u32), Vec<RawReport>>,
     histories: SharedHistories,
-    /// Scenario-slot counts per known vehicle. Presence in this map is
-    /// what makes a vehicle *known*: sealing emits a (possibly idle)
-    /// record for every known vehicle every day.
-    slot_counts: BTreeMap<u32, usize>,
+    /// Known vehicles, in id order so sealing is deterministic. Presence
+    /// in this map is what makes a vehicle *known*: sealing emits a
+    /// (possibly idle) record for every known vehicle every day.
+    vehicles: BTreeMap<u32, VehicleState>,
     /// Records rejected because their day was already sealed.
     out_of_order: u64,
     /// Days sealed so far (capped by the watermark, not per vehicle).
@@ -84,9 +92,8 @@ impl FleetAggregator {
             scenario,
             watermark: start_day - 1,
             sealed_through: start_day - 1,
-            buffers: BTreeMap::new(),
             histories: Arc::new(RwLock::new(BTreeMap::new())),
-            slot_counts: BTreeMap::new(),
+            vehicles: BTreeMap::new(),
             out_of_order: 0,
             days_sealed: 0,
             rules: ValidityRules::default(),
@@ -103,6 +110,11 @@ impl FleetAggregator {
     /// it for every known vehicle; the returned events list each
     /// sealed day that entered a vehicle's scenario series (empty for
     /// most records — days seal only at day boundaries).
+    ///
+    /// A record for day `d` seals everything through `d - 1` before it
+    /// is buffered, and one for a sealed day is rejected, so every
+    /// buffered report belongs to the one open day
+    /// `sealed_through + 1`.
     pub fn observe(&mut self, record: &LogRecord) -> Vec<SealedSlot> {
         let day = record.report.day;
         if day <= self.sealed_through || day < self.start_day {
@@ -115,9 +127,11 @@ impl FleetAggregator {
         } else {
             Vec::new()
         };
-        self.buffers
-            .entry((day, record.vehicle_id))
-            .or_default()
+        debug_assert_eq!(day, self.sealed_through + 1, "one open day");
+        self.vehicles
+            .get_mut(&record.vehicle_id)
+            .expect("registered above")
+            .open_day
             .push(record.report.clone());
         if day > self.watermark {
             self.watermark = day;
@@ -132,40 +146,37 @@ impl FleetAggregator {
     }
 
     /// Seals every day up to and including `through` for every known
-    /// vehicle, in (day, vehicle) order.
+    /// vehicle, in (day, vehicle) order, under one histories write lock
+    /// per day. Only the first day sealed can hold reports; the rest
+    /// are idle.
     fn seal_through(&mut self, through: i64) -> Vec<SealedSlot> {
         let mut events = Vec::new();
         while self.sealed_through < through {
             let day = self.sealed_through + 1;
-            let vehicles: Vec<u32> = self.slot_counts.keys().copied().collect();
-            for vehicle in vehicles {
-                let reports = self.buffers.remove(&(day, vehicle)).unwrap_or_default();
+            let date = Date::from_day_index(day);
+            let mut histories = self.histories.write().expect("histories lock");
+            for (&vehicle, state) in self.vehicles.iter_mut() {
                 // Same cleaning step the batch pipeline applies to the
                 // raw stream, so streaming and batch aggregates agree.
-                let (clean, stats) = clean_day(reports, &self.rules);
-                self.cleaning.duplicates_removed += stats.duplicates_removed;
-                self.cleaning.glitches_nulled += stats.glitches_nulled;
-                self.cleaning.values_imputed += stats.values_imputed;
-                let record = aggregate_day(Date::from_day_index(day), &clean);
-                let included = self.scenario.includes(record.hours);
-                let hours = record.hours;
-                self.histories
-                    .write()
-                    .expect("histories lock")
-                    .entry(vehicle)
-                    .or_default()
-                    .push(record);
-                if included {
-                    let slot = self.slot_counts.get_mut(&vehicle).expect("known vehicle");
+                let record = clean_and_aggregate_day(
+                    date,
+                    &mut state.open_day,
+                    &self.rules,
+                    &mut self.cleaning,
+                );
+                state.open_day.clear();
+                if self.scenario.includes(record.hours) {
                     events.push(SealedSlot {
                         vehicle_id: vehicle,
-                        slot: *slot,
+                        slot: state.slots,
                         day,
-                        hours,
+                        hours: record.hours,
                     });
-                    *slot += 1;
+                    state.slots += 1;
                 }
+                histories.entry(vehicle).or_default().push(record);
             }
+            drop(histories);
             self.sealed_through = day;
             self.days_sealed += 1;
         }
@@ -177,13 +188,18 @@ impl FleetAggregator {
     /// the fleet. Backfilled days count slots but emit no events (there
     /// is nothing to retrain on yet).
     fn register_vehicle(&mut self, vehicle: u32) {
-        if self.slot_counts.contains_key(&vehicle) {
+        if self.vehicles.contains_key(&vehicle) {
             return;
         }
         let mut slots = 0usize;
         let mut backfill = Vec::new();
         for day in self.start_day..=self.sealed_through {
-            let record = aggregate_day(Date::from_day_index(day), &[]);
+            let record = clean_and_aggregate_day(
+                Date::from_day_index(day),
+                &mut Vec::new(),
+                &self.rules,
+                &mut self.cleaning,
+            );
             if self.scenario.includes(record.hours) {
                 slots += 1;
             }
@@ -195,7 +211,13 @@ impl FleetAggregator {
                 .expect("histories lock")
                 .insert(vehicle, backfill);
         }
-        self.slot_counts.insert(vehicle, slots);
+        self.vehicles.insert(
+            vehicle,
+            VehicleState {
+                slots,
+                open_day: Vec::new(),
+            },
+        );
     }
 
     /// Records rejected because their day was already sealed.

@@ -13,8 +13,8 @@
 //!   never deletes it.
 //! - [`aggregate`] — **incremental daily aggregation**: raw reports
 //!   fold into per-vehicle daily records as the log's watermark
-//!   advances, one `aggregate_day` per (vehicle, day), no re-reading
-//!   of history.
+//!   advances, one `clean_and_aggregate_day` per (vehicle, day), no
+//!   re-reading of history.
 //! - [`views`] — serves predictions **from the ingested data** by
 //!   adapting the aggregated histories to `vup-serve`'s `ViewSource`.
 //! - [`scheduler`] — **drift-triggered retraining**: sealed slots feed

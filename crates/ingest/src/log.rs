@@ -652,9 +652,14 @@ impl CommitLog {
     }
 
     /// Every record in the log, in offset order: each segment read and
-    /// decoded from byte zero.
+    /// decoded from byte zero, into a vector sized for the whole log up
+    /// front.
     pub fn records(&self) -> io::Result<Vec<LogRecord>> {
-        let mut records = Vec::new();
+        let first = self
+            .segments
+            .first()
+            .map_or(self.next_offset, |s| s.first_offset);
+        let mut records = Vec::with_capacity((self.next_offset - first) as usize);
         for segment in &self.segments {
             let path = self.dir.join(Self::segment_name(segment.first_offset));
             let (read, r) = retry_io(|| self.backend.read(&path));
@@ -928,6 +933,57 @@ mod tests {
             assert_eq!(rec.vehicle_id, (i % 3) as u32);
             assert_eq!(rec.report, written[i]);
         }
+    }
+
+    #[test]
+    fn every_crc32_path_agrees_on_a_segment_of_real_frames() {
+        use vup_fleetsim::dropout::DropoutConfig;
+        use vup_fleetsim::fleet::{Fleet, FleetConfig};
+        use vup_fleetsim::generator::generate_day_raw_reports;
+        use vup_serve::frame::{crc32, crc32_sliced};
+
+        // Append simulated telemetry, dropouts and glitches included,
+        // until the first segment seals full.
+        let dir = temp_dir("crc-paths");
+        let fleet = Fleet::generate(FleetConfig::small(4, 7));
+        let (mut log, _) = open(&dir, LogOptions::default());
+        'fill: for day in 0.. {
+            let date = fleet.config().start.plus_days(day);
+            for vehicle in fleet.vehicles() {
+                let dropout = DropoutConfig::default();
+                for report in generate_day_raw_reports(&fleet, vehicle.id, date, &dropout) {
+                    log.append(vehicle.id.0, &report).unwrap();
+                    if log.segment_count() > 1 {
+                        break 'fill;
+                    }
+                }
+            }
+        }
+        let bytes = std::fs::read(dir.join(CommitLog::segment_name(0))).unwrap();
+        #[cfg(target_arch = "x86_64")]
+        let clmul = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let clmul = false;
+        let (mut at, mut frame) = (0, 0);
+        while at < bytes.len() {
+            let word = |i: usize| u32::from_le_bytes(bytes[at + i..at + i + 4].try_into().unwrap());
+            let (len, stored) = (word(8) as usize, word(12));
+            let body = &bytes[at + HEADER_LEN..at + HEADER_LEN + len];
+            let (dispatched, sliced) = (crc32(body), crc32_sliced(body));
+            assert_eq!(
+                dispatched, sliced,
+                "frame {frame}: crc32 (CLMUL kernel in use: {clmul}) gave {dispatched:#010x}, \
+                 crc32_sliced gave {sliced:#010x}"
+            );
+            assert_eq!(
+                stored, sliced,
+                "frame {frame}: the CRC written at append differs from crc32_sliced"
+            );
+            at += HEADER_LEN + len;
+            frame += 1;
+        }
+        assert!(frame > 500, "only {frame} frames in a full segment");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub const HEADER_LEN: usize = 16;
 /// transient ([`io::ErrorKind::Interrupted`]) failures.
 pub const MAX_IO_ATTEMPTS: u64 = 4;
 
-/// Slicing-by-8 lookup tables for the reflected IEEE polynomial:
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial
+/// ([`crc32_sliced`], and the tail of [`crc32_clmul`]):
 /// `CRC_TABLES[0]` is the classic bytewise table, and `CRC_TABLES[k]`
 /// advances a byte's contribution through `k` further zero bytes.
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -79,11 +80,34 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// IEEE CRC32 (the zlib/PNG polynomial), slicing-by-8: eight bytes per
-/// step through eight tables, then bytewise for the last `len % 8`.
+/// IEEE CRC32 (the zlib/PNG polynomial) of `bytes`: every frame's
+/// payload checksum. On x86_64 CPUs with carry-less multiply
+/// (PCLMULQDQ and SSE4.1, detected at run time) inputs of 16 bytes or
+/// more fold 16 bytes per step (`crc32_clmul`); shorter inputs and
+/// other CPUs run [`crc32_sliced`]. Both give the same value for every
+/// input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 16
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: the CPU supports both features, checked just above.
+        return unsafe { crc32_clmul(bytes) };
+    }
+    crc32_sliced(bytes)
+}
+
+/// The portable CRC32, slicing-by-8: eight bytes per step through
+/// eight tables, then bytewise for the last `len % 8`.
+pub fn crc32_sliced(bytes: &[u8]) -> u32 {
+    !crc32_sliced_update(u32::MAX, bytes)
+}
+
+/// Advances the running (pre-inversion) CRC register `crc` over
+/// `bytes` with the slicing-by-8 tables.
+fn crc32_sliced_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = u32::MAX;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -100,7 +124,64 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ u32::MAX
+    crc
+}
+
+/// [`crc32`] by carry-less multiplication: the running CRC is folded
+/// into the first 16 bytes, then each further 16-byte block is xored
+/// onto the accumulator's two 64-bit halves multiplied by K3 and K4;
+/// the 128-bit result is reduced to 64 bits, Barrett-reduced to the
+/// 32-bit CRC register, and the last `len % 16` bytes finish through
+/// the slicing-by-8 tables. Needs `bytes.len() >= 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32, _mm_loadu_si128,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Folding constants of the bit-reflected IEEE polynomial P:
+    // x^(128+32) mod P and x^(128-32) mod P fold one 128-bit lane into
+    // the next (K3, K4), x^64 mod P folds 96 bits to 64 (K5), and P with
+    // its Barrett quotient μ = x^64 / P reduces 64 bits to the CRC.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    let mut blocks = bytes.chunks_exact(16);
+    let first = blocks
+        .next()
+        .expect("crc32_clmul needs a full 16-byte block");
+    // SAFETY: every block is a 16-byte slice; the load is unaligned.
+    let mut x = unsafe { _mm_loadu_si128(first.as_ptr().cast()) };
+    x = _mm_xor_si128(x, _mm_cvtsi32_si128(-1)); // the initial register, !0
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    for block in &mut blocks {
+        // SAFETY: as above.
+        let next = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        let lo = _mm_clmulepi64_si128(x, k3k4, 0x00);
+        let hi = _mm_clmulepi64_si128(x, k3k4, 0x11);
+        x = _mm_xor_si128(_mm_xor_si128(next, lo), hi);
+    }
+
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    // 128 -> 96 bits: the low half times K4, onto the high half.
+    x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+    // 96 -> 64 bits: the low 32 bits times K5, onto the rest.
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    // Barrett: T1 = (x mod x^32)·μ, T2 = (T1 mod x^32)·P; the register
+    // is the upper 32 bits of x ^ T2 (the reflected variant).
+    let pu = _mm_set_epi64x(MU, P);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+    let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+    !crc32_sliced_update(crc, blocks.remainder())
 }
 
 /// Why a frame cannot be decoded. Callers map these onto their own
@@ -398,17 +479,54 @@ mod tests {
     const SNAP_MAGIC: [u8; 4] = *b"VUPM";
     const LOG_MAGIC: [u8; 4] = *b"VUPL";
 
+    /// Every CRC32 path this CPU can run, by name: the dispatched entry
+    /// point, the portable fallback and, when the CPU has carry-less
+    /// multiply, the CLMUL kernel itself (which needs 16 bytes or more).
+    fn crc32_paths(bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut paths = vec![
+            ("crc32", crc32(bytes)),
+            ("crc32_sliced", crc32_sliced(bytes)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= 16
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: the CPU supports both features, checked just above.
+            paths.push(("crc32_clmul", unsafe { crc32_clmul(bytes) }));
+        }
+        paths
+    }
+
+    /// Asserts every path equals `want`, naming each one that diverged.
+    fn assert_paths_equal(bytes: &[u8], want: u32, what: &str) {
+        let diverged: Vec<String> = crc32_paths(bytes)
+            .into_iter()
+            .filter(|&(_, got)| got != want)
+            .map(|(path, got)| format!("{path} gave {got:#010x}"))
+            .collect();
+        assert!(
+            diverged.is_empty(),
+            "on {what}, want {want:#010x}: {}",
+            diverged.join(", ")
+        );
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32/ISO-HDLC test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        // The canonical CRC-32/ISO-HDLC test vector. Nine bytes are too
+        // short for the CLMUL kernel, so a 16-byte extension checks it
+        // against the bytewise reference.
+        assert_paths_equal(b"123456789", 0xCBF4_3926, "the check string");
+        assert_paths_equal(b"", 0, "the empty input");
+        let padded = b"123456789abcdefg";
+        assert_paths_equal(padded, crc32_bytewise(padded), "the padded check string");
         assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
-    /// The bytewise (one table lookup per byte) CRC32 the slicing-by-8
-    /// version must reproduce bit for bit; its table is built bit by bit
-    /// here, independently of `CRC_TABLES`.
+    /// The bytewise (one table lookup per byte) CRC32 every path must
+    /// reproduce bit for bit; its table is built bit by bit here,
+    /// independently of `CRC_TABLES`.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut table = [0u32; 256];
         for (i, slot) in table.iter_mut().enumerate() {
@@ -430,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn sliced_crc32_matches_the_bytewise_reference() {
+    fn every_crc32_path_matches_the_bytewise_reference() {
         // Deterministic filler: splitmix64 bytes.
         let mut state = 0x5EED_u64;
         let mut next = move || {
@@ -440,23 +558,29 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let buf: Vec<u8> = (0..80).map(|_| next() as u8).collect();
-        // Every length 0..=64 at every start alignment 0..8.
-        for start in 0..8 {
-            for len in 0..=64 {
+        let buf: Vec<u8> = (0..528).map(|_| next() as u8).collect();
+        // Every length 0..=512 at every start misalignment 0..16.
+        for start in 0..16 {
+            for len in 0..=512 {
                 let slice = &buf[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "start {start}, len {len}"
-                );
+                let what = format!("start {start}, len {len}");
+                assert_paths_equal(slice, crc32_bytewise(slice), &what);
             }
         }
         // Seeded random buffers of random lengths.
         for _ in 0..200 {
             let len = (next() % 4096) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+            assert_paths_equal(&bytes, crc32_bytewise(&bytes), &format!("len {len}"));
+        }
+        // All-zero and all-one blocks stress the folds' carries.
+        for fill in [0x00u8, 0xFF] {
+            let bytes = vec![fill; 300];
+            assert_paths_equal(
+                &bytes,
+                crc32_bytewise(&bytes),
+                &format!("300 × {fill:#04x}"),
+            );
         }
     }
 

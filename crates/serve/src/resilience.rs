@@ -210,8 +210,9 @@ impl VehicleBreaker {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     states: Mutex<HashMap<u32, VehicleBreaker>>,
-    /// Vehicles in the open state, set under `states`' lock on every
-    /// transition so concurrent batches cannot publish a stale count.
+    /// Vehicles in the open state. Every shard's breaker shares the one
+    /// gauge, so each transition moves it by its own change (±1) under
+    /// `states`' lock.
     open: Gauge,
 }
 
@@ -222,8 +223,8 @@ impl CircuitBreaker {
         Self::observed(config, Gauge::default())
     }
 
-    /// [`CircuitBreaker::new`], keeping `open` set to the number of
-    /// vehicles in the open state.
+    /// [`CircuitBreaker::new`], adding its vehicles in the open state
+    /// to `open`: breakers that share the gauge sum into it.
     pub fn observed(config: BreakerConfig, open: Gauge) -> CircuitBreaker {
         CircuitBreaker {
             config,
@@ -252,7 +253,7 @@ impl CircuitBreaker {
             BreakerState::Open => {
                 if batch >= entry.open_until {
                     entry.state = BreakerState::HalfOpen;
-                    self.publish_open(&states);
+                    self.open.add(-1.0);
                     (
                         BreakerDecision::AllowProbe,
                         Some(BreakerTransition {
@@ -276,6 +277,7 @@ impl CircuitBreaker {
         }
         let mut states = self.states.lock().expect("breaker lock");
         let entry = states.entry(vehicle).or_insert_with(VehicleBreaker::closed);
+        let was_open = entry.state == BreakerState::Open;
         let transition = if success {
             let was = entry.state;
             *entry = VehicleBreaker::closed();
@@ -312,8 +314,9 @@ impl CircuitBreaker {
                 BreakerState::Open => None,
             }
         };
-        if transition.is_some() {
-            self.publish_open(&states);
+        let is_open = entry.state == BreakerState::Open;
+        if is_open != was_open {
+            self.open.add(if is_open { 1.0 } else { -1.0 });
         }
         transition
     }
@@ -332,9 +335,12 @@ impl CircuitBreaker {
         count_open(&self.states.lock().expect("breaker lock"))
     }
 
-    /// Sets the open-count gauge; called with `states` still locked.
-    fn publish_open(&self, states: &HashMap<u32, VehicleBreaker>) {
-        self.open.set(count_open(states) as f64);
+    /// Takes this breaker's open vehicles back out of the shared gauge,
+    /// for a breaker about to be replaced by a successor
+    /// ([`crate::PredictionService::retire`]).
+    pub(crate) fn untrack_gauge(&self) {
+        let states = self.states.lock().expect("breaker lock");
+        self.open.add(-(count_open(&states) as f64));
     }
 }
 
@@ -475,6 +481,33 @@ mod tests {
         assert_eq!(breaker.record(7, 6, true).unwrap().to, BreakerState::Closed);
         assert_eq!(breaker.state(7), BreakerState::Closed);
         assert_eq!(breaker.open_count(), 0);
+    }
+
+    #[test]
+    fn breakers_sharing_one_gauge_sum_their_open_vehicles() {
+        let registry = vup_obs::Registry::new();
+        let gauge = || registry.gauge("open").get();
+        let config = BreakerConfig {
+            failure_threshold: 1,
+            cooldown_batches: 1,
+        };
+        let a = CircuitBreaker::observed(config, registry.gauge("open"));
+        let b = CircuitBreaker::observed(config, registry.gauge("open"));
+        a.record(1, 0, false);
+        a.record(2, 0, false);
+        b.record(3, 0, false);
+        assert_eq!(gauge(), 3.0, "two shards' open vehicles add up");
+        // Open -> half-open, a failed probe back to open, then closed.
+        assert_eq!(b.admit(3, 1).0, BreakerDecision::AllowProbe);
+        assert_eq!(gauge(), 2.0);
+        b.record(3, 1, false);
+        assert_eq!(gauge(), 3.0);
+        b.admit(3, 2);
+        b.record(3, 2, true);
+        assert_eq!(gauge(), 2.0);
+        // A retired breaker (a restarted shard's) takes its count along.
+        a.untrack_gauge();
+        assert_eq!(gauge(), 0.0);
     }
 
     #[test]

@@ -721,6 +721,16 @@ impl<'f> PredictionService<'f> {
         self
     }
 
+    /// Retires a service that a successor built against the same
+    /// registry replaces (a restarted shard): its cached models and
+    /// open breakers leave the shared `vup_store_models` and
+    /// `vup_serve_breaker_open` gauges, which the successor's recovered
+    /// store and fresh breaker then count.
+    pub fn retire(self) {
+        self.store.untrack_gauge();
+        self.breaker.untrack_gauge();
+    }
+
     /// Replaces where views come from (default: [`FleetViews`]). A
     /// streaming deployment points this at incrementally aggregated
     /// telemetry so serving never regenerates history.

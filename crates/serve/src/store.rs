@@ -56,6 +56,8 @@ struct StoreMetrics {
     /// `vup_store_models` — *servable* models currently cached:
     /// poisoned (force-aged) entries do not count, so the gauge, the
     /// poison counter and the invalidation counter stay consistent.
+    /// Every shard's store shares the one gauge, so each change moves
+    /// it by its own delta under the entries lock.
     models: Gauge,
     /// `vup_store_poisoned_total` — entries force-aged by
     /// [`ModelStore::poison`] (fault injection).
@@ -126,11 +128,11 @@ pub struct ModelStore {
     recovery: Option<RecoveryStats>,
 }
 
-/// Entries whose model is actually servable: poisoning force-ages an
-/// entry to `trained_at == usize::MAX`, which no lookup can match.
-fn servable(entries: &HashMap<(VehicleId, u64), Arc<StoredModel>>) -> usize {
+/// How many of `entries` are actually servable: poisoning force-ages
+/// an entry to `trained_at == usize::MAX`, which no lookup can match.
+fn servable<'a>(entries: impl IntoIterator<Item = &'a Arc<StoredModel>>) -> usize {
     entries
-        .values()
+        .into_iter()
         .filter(|e| e.trained_at != usize::MAX)
         .count()
 }
@@ -188,7 +190,7 @@ impl ModelStore {
             entries.insert((vehicle, fingerprint), Arc::new(model));
         }
         let metrics = StoreMetrics::register(registry);
-        metrics.models.set(servable(&entries) as f64);
+        metrics.models.add(servable(entries.values()) as f64);
         Ok(ModelStore {
             entries: RwLock::new(entries),
             metrics,
@@ -283,8 +285,9 @@ impl ModelStore {
         let fingerprint = Self::fingerprint(config);
         {
             let mut entries = self.entries.write().expect("store lock");
-            entries.insert((vehicle, fingerprint), Arc::clone(&entry));
-            self.metrics.models.set(servable(&entries) as f64);
+            let replaced = entries.insert((vehicle, fingerprint), Arc::clone(&entry));
+            let delta = servable([&entry]) as f64 - servable(&replaced) as f64;
+            self.metrics.models.add(delta);
         }
         self.metrics.retrains.inc();
         if let Some(snapshots) = &self.persist {
@@ -308,20 +311,17 @@ impl ModelStore {
         let key = (vehicle, Self::fingerprint(config));
         let poisoned = {
             let mut entries = self.entries.write().expect("store lock");
-            let poisoned = match entries.get_mut(&key) {
+            match entries.get_mut(&key) {
                 None => false,
                 Some(entry) => {
+                    self.metrics.models.add(-(servable([&*entry]) as f64));
                     *entry = Arc::new(StoredModel {
                         predictor: entry.predictor.clone(),
                         trained_at: usize::MAX,
                     });
                     true
                 }
-            };
-            if poisoned {
-                self.metrics.models.set(servable(&entries) as f64);
             }
-            poisoned
         };
         if poisoned {
             self.metrics.poisons.inc();
@@ -336,15 +336,17 @@ impl ModelStore {
         let dropped = {
             let mut entries = self.entries.write().expect("store lock");
             let mut dropped = Vec::new();
-            entries.retain(|&(v, fingerprint), _| {
+            let mut servable_dropped = 0;
+            entries.retain(|&(v, fingerprint), entry| {
                 if v == vehicle {
                     dropped.push(fingerprint);
+                    servable_dropped += servable([&*entry]);
                     false
                 } else {
                     true
                 }
             });
-            self.metrics.models.set(servable(&entries) as f64);
+            self.metrics.models.add(-(servable_dropped as f64));
             dropped
         };
         self.metrics.invalidations.add(dropped.len() as u64);
@@ -356,14 +358,26 @@ impl ModelStore {
         dropped.len()
     }
 
+    /// Takes this store's servable models back out of the shared
+    /// `vup_store_models` gauge, for a store about to be replaced by a
+    /// successor that adds its own ([`crate::PredictionService::retire`]).
+    pub(crate) fn untrack_gauge(&self) {
+        let entries = self.entries.read().expect("store lock");
+        self.metrics
+            .models
+            .add(-(servable(entries.values()) as f64));
+    }
+
     /// Drops every cached model (and, on a durable store, every
     /// snapshot file).
     pub fn clear(&self) {
         let dropped: Vec<(VehicleId, u64)> = {
             let mut entries = self.entries.write().expect("store lock");
             let keys = entries.keys().copied().collect();
+            self.metrics
+                .models
+                .add(-(servable(entries.values()) as f64));
             entries.clear();
-            self.metrics.models.set(0.0);
             keys
         };
         self.metrics.invalidations.add(dropped.len() as u64);
@@ -580,6 +594,30 @@ mod tests {
         assert_eq!(gauge(), 1.0, "gauge already excluded the poisoned entry");
         assert_eq!(registry.counter("vup_store_invalidations_total").get(), 1);
         store.clear();
+        assert_eq!(gauge(), 0.0);
+    }
+
+    #[test]
+    fn stores_sharing_one_registry_sum_their_models() {
+        let registry = Registry::new();
+        let gauge = || registry.gauge("vup_store_models").get();
+        let cfg = config();
+        let (a, b) = (
+            ModelStore::observed(&registry),
+            ModelStore::observed(&registry),
+        );
+        insert(&a, 0, &cfg, 100);
+        insert(&a, 1, &cfg, 100);
+        insert(&b, 2, &cfg, 100);
+        assert_eq!(gauge(), 3.0, "two shards' models add up");
+        insert(&b, 2, &cfg, 107);
+        assert_eq!(gauge(), 3.0, "a retrain replaces, it does not add");
+        b.poison(VehicleId(2), &cfg);
+        assert_eq!(gauge(), 2.0);
+        b.clear();
+        assert_eq!(gauge(), 2.0, "clearing one store leaves the other's models");
+        // A retired store (a restarted shard's) takes its models along.
+        a.untrack_gauge();
         assert_eq!(gauge(), 0.0);
     }
 

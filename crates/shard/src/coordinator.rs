@@ -413,7 +413,7 @@ impl<'f> ShardedService<'f> {
                 let slot = &mut self.slots[shard as usize];
                 let deaths = slot.deaths;
                 let restarts = slot.restarts + 1;
-                *slot = rebuilt;
+                std::mem::replace(slot, rebuilt).service.retire();
                 slot.deaths = deaths;
                 slot.restarts = restarts;
                 slot.metrics.restarts.inc();
@@ -565,14 +565,16 @@ mod tests {
         let mut options = ShardOptions::new(2);
         options.store_root = Some(dir.clone());
         options.faults.shards = Some(vup_serve::ShardFaultPlan::kill(1, 1));
+        let registry = Registry::new();
         let mut sharded = ShardedService::build(
             &fleet,
             baseline_config(),
             options,
-            &Registry::disabled(),
+            &registry,
             &Tracer::disabled(),
         )
         .unwrap();
+        let models = || registry.gauge("vup_store_models").get();
         let reqs = requests(24, 2);
         // Batch 0: healthy; models persist to both shard dirs.
         let first = sharded.serve_batch(&reqs, Some(400));
@@ -593,9 +595,13 @@ mod tests {
             recovery.recovered + recovery.quarantined.len(),
             recovery.files_seen
         );
+        // The models gauge counts the fleet: the dead shard's store
+        // left it, its warm-started successor joined it.
+        assert_eq!(models(), sharded.cached_models() as f64);
         // Batch 2: the restarted shard serves again from its snapshots.
         let third = sharded.serve_batch(&reqs, Some(400));
         assert!(third.outcomes.iter().all(|o| !o.is_degraded()));
+        assert_eq!(models(), sharded.cached_models() as f64);
         assert_eq!(sharded.supervision()[1], (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -18,14 +18,19 @@
 //!   per-record builder produces, across arbitrary window slides
 //!   (proptest);
 //! - a warm commit log appends without allocating until it rolls a
-//!   segment.
+//!   segment;
+//! - a warm streaming aggregator seals a fleet-day with the same
+//!   allocations however many reports each vehicle sent: cleaning and
+//!   aggregation run in place in one reused buffer per vehicle.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vehicle_usage_prediction::core::window::{build_dataset, build_dataset_arena};
+use vehicle_usage_prediction::fleetsim::canbus::RawReport;
 use vehicle_usage_prediction::fleetsim::dropout::DropoutConfig;
 use vehicle_usage_prediction::fleetsim::generator::generate_day_raw_reports_scaled;
+use vehicle_usage_prediction::ingest::LogRecord;
 use vehicle_usage_prediction::ml::arena::fingerprint;
 use vehicle_usage_prediction::ml::TrainArena;
 use vehicle_usage_prediction::prelude::*;
@@ -253,6 +258,93 @@ fn warm_commit_log_appends_that_do_not_roll_allocate_nothing() {
     );
     drop(log);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One vehicle's reports for `day`: `n` ten-minute reports from 06:00,
+/// uploaded with one pair out of order, one duplicate, one range
+/// glitch and one missing value, so every cleaning step has work.
+fn raw_day(day: i64, n: u16) -> Vec<RawReport> {
+    let mut reports: Vec<RawReport> = (0..n)
+        .map(|i| RawReport {
+            day,
+            minute: 360 + 10 * i,
+            engine_on: true,
+            fuel_level_pct: Some(80.0 - f64::from(i) * 0.2),
+            engine_rpm: Some(1200.0 + f64::from(i % 7) * 30.0),
+            oil_pressure_kpa: Some(300.0),
+            coolant_temp_c: Some(85.0),
+            fuel_rate_lph: Some(9.0 + f64::from(i % 3)),
+            speed_kmh: Some(6.0),
+            load_pct: Some(45.0),
+            digging_pressure_kpa: None,
+            pump_drive_temp_c: Some(55.0),
+            oil_tank_temp_c: Some(48.0),
+        })
+        .collect();
+    reports.swap(1, 2);
+    reports[3].engine_rpm = Some(65_535.0);
+    reports[4].speed_kmh = None;
+    reports.push(reports[0].clone());
+    reports
+}
+
+#[test]
+fn warm_aggregator_seals_a_fleet_day_with_allocations_independent_of_its_reports() {
+    const VEHICLES: u32 = 16;
+    const START: i64 = 17_000;
+    let mut aggregator = FleetAggregator::new(START, Scenario::NextDay);
+    let mut offset = 0u64;
+    // Buffers, then seals, one fleet-day of `n` reports per vehicle;
+    // returns the allocations that took, the records' construction
+    // excluded.
+    let mut fleet_day = |aggregator: &mut FleetAggregator, day: i64, n: u16| {
+        let records: Vec<LogRecord> = (0..VEHICLES)
+            .flat_map(|vehicle_id| {
+                raw_day(START + day, n)
+                    .into_iter()
+                    .map(move |report| (vehicle_id, report))
+            })
+            .map(|(vehicle_id, report)| {
+                offset += 1;
+                LogRecord {
+                    offset,
+                    vehicle_id,
+                    report,
+                }
+            })
+            .collect();
+        let before = allocs();
+        for record in &records {
+            assert!(aggregator.observe(record).is_empty());
+        }
+        let sealed = aggregator.seal_all();
+        let during = allocs() - before;
+        assert_eq!(sealed.len(), VEHICLES as usize, "day {day}");
+        drop(sealed);
+        during
+    };
+    // Warm-up: every vehicle's buffer has held a 40-report day, and its
+    // history holds 5 of the 8 days its capacity has room for, so the
+    // measured days' history pushes do not reallocate.
+    for day in 0..5 {
+        fleet_day(&mut aggregator, day, if day % 2 == 0 { 40 } else { 10 });
+    }
+    let ten = fleet_day(&mut aggregator, 5, 10);
+    let forty = fleet_day(&mut aggregator, 6, 40);
+    assert_eq!(
+        ten, forty,
+        "a warm fleet-day seal allocated {ten} times at 10 reports per vehicle-day \
+         but {forty} times at 40"
+    );
+    // What remains is the returned event list, not a per-vehicle cost.
+    assert!(
+        ten < u64::from(VEHICLES),
+        "{ten} allocations to seal {VEHICLES} vehicle-days"
+    );
+    assert_eq!(
+        aggregator.cleaning().duplicates_removed,
+        7 * VEHICLES as usize
+    );
 }
 
 proptest! {

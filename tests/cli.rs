@@ -523,6 +523,65 @@ fn serve_batch_metrics_stdout_parses_and_outcomes_sum_to_batch_size() {
 }
 
 #[test]
+fn serve_batch_gauges_read_fleet_totals_at_every_shard_count() {
+    // Every shard's store and breaker share one registry; each moves
+    // the gauge by its own change, so the export is the fleet total.
+    let gauges = |shards: &str, faults: bool| {
+        let mut args = vec![
+            "serve-batch",
+            "--vehicles",
+            "30",
+            "--n",
+            "30",
+            "--model",
+            "lv",
+            "--shards",
+            shards,
+            "--metrics",
+            "-",
+        ];
+        if faults {
+            // Every primary fit fails: by the third batch every
+            // vehicle's breaker is open.
+            args.extend([
+                "--repeat",
+                "3",
+                "--retry-max",
+                "2",
+                "--faults",
+                "examples/faults/chaos-plan.json",
+            ]);
+        }
+        let out = vup().args(&args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        let start = text.find("# TYPE").expect("metrics snapshot on stdout");
+        let samples = vehicle_usage_prediction::obs::parse_prometheus_text(&text[start..])
+            .expect("snapshot parses as Prometheus text");
+        let value = |name: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} exported"))
+                .value
+        };
+        (value("vup_store_models"), value("vup_serve_breaker_open"))
+    };
+    for shards in ["1", "3"] {
+        assert_eq!(gauges(shards, false), (30.0, 0.0), "--shards {shards}");
+        assert_eq!(
+            gauges(shards, true),
+            (0.0, 30.0),
+            "--shards {shards}, every fit failing"
+        );
+    }
+}
+
+#[test]
 fn serve_batch_metrics_file_gets_json_snapshot() {
     let path = std::env::temp_dir().join(format!("vup_metrics_{}.json", std::process::id()));
     let out = vup()
